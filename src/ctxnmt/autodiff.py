@@ -12,7 +12,6 @@ as far as this module is concerned and safe to share for reading.
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 import numpy as np
@@ -20,7 +19,6 @@ import numpy as np
 LAYER_NORM_EPS = 1e-6
 MASK_SENTINEL = -1e9
 
-_node_ids = itertools.count()
 _tls = threading.local()
 
 
@@ -46,13 +44,12 @@ class TapeError(AutodiffError):
 class Tensor:
     """Dense array with an accumulated gradient of the same shape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "name")
+    __slots__ = ("data", "grad", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.node_id = next(_node_ids)
         self.name = name
 
     @property

@@ -296,7 +296,8 @@ def cmd_train(args) -> int:
         token_budget=args.token_budget, max_steps=args.max_steps,
         checkpoint_every=args.checkpoint_every, seed=args.seed)
 
-    if stats.unk_count or stats.truncated_sources or stats.truncated_targets:
+    if (stats.unk_count or stats.truncated_contexts or stats.truncated_sources
+            or stats.truncated_targets):
         print(f"encoding: {stats.unk_count} unknown tokens, "
               f"{stats.truncated_contexts + stats.truncated_sources + stats.truncated_targets} "
               f"truncated sequences")

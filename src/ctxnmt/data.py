@@ -134,11 +134,9 @@ def attach_context(pairs: list[RawPair], direction: str, max_gap_seconds: float 
             out.append(ContextedPair(cur, ctx, bool(ctx)))
 
     if direction == "shuffled":
-        real_idx = [i for i, cp in enumerate(out) if cp.has_real_context]
-        contexts = [out[i].context_text for i in real_idx]
-        perm = np.random.default_rng(seed).permutation(len(contexts))
-        for slot, j in zip(real_idx, perm):
-            out[slot] = ContextedPair(out[slot].pair, contexts[j], True)
+        shuffled = shuffle_contexts([(cp.context_text, "", "") for cp in out], seed)
+        out = [ContextedPair(cp.pair, ctx, cp.has_real_context)
+               for cp, (ctx, _, _) in zip(out, shuffled)]
     return out
 
 

@@ -24,10 +24,6 @@ DEFAULT_THRESHOLD = 1e-4
 DEFAULT_SEEDS = 20
 
 
-def _no_drop(t):
-    return t
-
-
 def check_attention(seed: int) -> float:
     rng = np.random.default_rng(seed)
     store = ly.ParamStore(rng, np.float64)

@@ -216,7 +216,6 @@ class FusionOutput:
     out: ad.Tensor
     gate: ad.Tensor
     ctx_weights: np.ndarray | None
-    self_weights: np.ndarray
     fused: ad.Tensor
     self_branch: ad.Tensor
     ctx_branch: ad.Tensor
@@ -244,7 +243,7 @@ class ContextFusionLayer:
     def __call__(self, x: ad.Tensor, ctx_hidden: ad.Tensor | None,
                  self_mask: np.ndarray | None, ctx_mask: np.ndarray | None,
                  drop, zero_context: bool = False) -> FusionOutput:
-        a, self_weights = self.self_attn(x, x, self_mask)
+        a, _ = self.self_attn(x, x, self_mask)
         s = self.ln1(ad.add(x, drop(a)))
         if zero_context:
             b = ad.Tensor(np.zeros_like(s.data))
@@ -255,6 +254,5 @@ class ContextFusionLayer:
         fused, g = self.fusion(s, b)
         h = self.ln2(fused)
         out = self.ln3(ad.add(h, drop(self.ffn(h))))
-        return FusionOutput(out=out, gate=g, ctx_weights=ctx_weights,
-                            self_weights=self_weights, fused=fused,
+        return FusionOutput(out=out, gate=g, ctx_weights=ctx_weights, fused=fused,
                             self_branch=s, ctx_branch=b)

@@ -17,7 +17,7 @@ import dataclasses
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .vocab import BOS, PAD, TBOS, TEOS
 CONTEXT_MODES = ("none", "gated-context", "concat")
 CHECKPOINT_MAGIC = b"CTXNMTCK"
 CHECKPOINT_VERSION = 1
+HEADER_KEYS = {"format_version", "config", "dtype", "tensors", "payload_sha256"}
 
 
 class ModelError(ValueError):
@@ -82,20 +83,16 @@ class EncoderState:
     hidden: ad.Tensor
     mask: np.ndarray
     is_pad: np.ndarray
-    self_attn: list = field(default_factory=list)
 
 
 @dataclass
 class ContextualEncoderOutput(EncoderState):
     """Encoder state extended with the gate diagnostics of the fusion layer.
 
-    ``fused`` holds the raw gated-sum values (before the following norm), so
-    every coordinate lies between its self-attention and context-attention
-    inputs. ``ctx_attention`` is head-averaged, shape (B, S, C).
+    ``ctx_attention`` is head-averaged, shape (B, S, C).
     """
     gates: np.ndarray | None = None
     ctx_attention: np.ndarray | None = None
-    fused: np.ndarray | None = None
 
 
 @dataclass
@@ -190,11 +187,9 @@ class Transformer:
         mask = ly.padding_mask(is_pad, self.dtype)
         x = self._embed(self.src_embed, ids, flags=flags)
         x = drop(x)
-        weights = []
         for layer in self.enc_layers:
-            x, w = layer(x, mask, drop)
-            weights.append(w)
-        return EncoderState(hidden=x, mask=mask, is_pad=is_pad, self_attn=weights)
+            x, _ = layer(x, mask, drop)
+        return EncoderState(hidden=x, mask=mask, is_pad=is_pad)
 
     def _normalize_context(self, ctx_ids: np.ndarray) -> np.ndarray:
         """Ensure every context row carries the leading role token."""
@@ -216,10 +211,8 @@ class Transformer:
         ctx_mask = ly.padding_mask(ctx_pad, self.dtype)
 
         x = drop(self._embed(self.src_embed, src_ids))
-        weights = []
         for layer in self.enc_layers:
-            x, w = layer(x, src_mask, drop)
-            weights.append(w)
+            x, _ = layer(x, src_mask, drop)
 
         ctx_hidden = None
         if not zero_context:
@@ -230,11 +223,9 @@ class Transformer:
 
         fo = self.fusion_layer(x, ctx_hidden, src_mask, ctx_mask, drop,
                                zero_context=zero_context)
-        weights.append(fo.self_weights)
         return ContextualEncoderOutput(
-            hidden=fo.out, mask=src_mask, is_pad=src_pad, self_attn=weights,
-            gates=fo.gate.data.copy(), ctx_attention=fo.ctx_weights,
-            fused=fo.fused.data.copy())
+            hidden=fo.out, mask=src_mask, is_pad=src_pad,
+            gates=fo.gate.data.copy(), ctx_attention=fo.ctx_weights)
 
     def _repack_concat(self, ctx_ids: np.ndarray, src_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Join [context ; source] per row, dropping pads and the role token."""
@@ -293,69 +284,67 @@ class Transformer:
         logits = self._decode_logits(enc, prefix, _no_drop)
         return ad.softmax(ad.Tensor(logits.data[:, -1, :])).data
 
-    def _length_norm(self, n_tokens: int) -> float:
-        return ((5.0 + n_tokens) / 6.0) ** self.config.length_penalty
+    def _search(self, enc: EncoderState, width: int, max_out: int) -> list[TranslationResult]:
+        """Beam search of every batch row at once; width 1 is greedy decoding.
 
-    def _greedy(self, enc: EncoderState, max_out: int) -> list[TranslationResult]:
-        batch = enc.hidden.shape[0]
-        prefix = np.full((batch, 1), TBOS, dtype=np.int64)
-        logprob = np.zeros(batch)
-        done = np.zeros(batch, dtype=bool)
-        for _ in range(max_out):
-            probs = self.decode_step(prefix, enc)
-            nxt = probs.argmax(axis=-1)
-            logprob += np.where(done, 0.0, np.log(probs[np.arange(batch), nxt] + 1e-30))
-            prefix = np.concatenate([prefix, nxt[:, None]], axis=1)
-            done |= nxt == TEOS
-            if done.all():
-                break
-        results = []
-        for i in range(batch):
-            ids = prefix[i, 1:].tolist()
-            if TEOS in ids:
-                ids = ids[:ids.index(TEOS) + 1]
-                truncated = False
-            else:
-                truncated = True
-            results.append(TranslationResult(
-                ids=ids, score=logprob[i] / self._length_norm(max(len(ids), 1)),
-                truncated=truncated))
-        return results
+        Each sentence has `width` slots (all but the first start dead, at -inf)
+        and keeps the top `width` of their extensions, ties to the lower flat
+        index; those ending in TEOS are finished. It stops with no live slot or
+        `width` finished, keeping live slots as truncated. Scores are GNMT
+        length-normalized log-probabilities, added in float64."""
+        sent = np.arange(enc.hidden.shape[0])  # batch row of each sentence still searching
+        rows = np.repeat(sent, width)
+        hidden, mask, is_pad = enc.hidden.data[rows], enc.mask[rows], enc.is_pad[rows]
+        prefix = np.full((sent.size, width, 1), TBOS, dtype=np.int64)
+        logp = np.full((sent.size, width), -np.inf)
+        logp[:, 0] = 0.0
+        n_finished = np.zeros(sent.size, dtype=np.int64)
+        finished: list[list[TranslationResult]] = [[] for _ in sent]
+
+        def keep(hyps: np.ndarray, truncated: bool) -> None:  # hyps: (sentence, slot) mask
+            norm = ((5.0 + max(prefix.shape[2] - 1, 1)) / 6.0) ** self.config.length_penalty
+            for b, ids, lp in zip(sent[hyps.nonzero()[0]].tolist(), prefix[hyps][:, 1:].tolist(),
+                                  logp[hyps].tolist()):
+                finished[b].append(TranslationResult(ids, lp / norm, truncated))
+
+        for step in range(max_out + 1):
+            stop = (n_finished >= width) | (logp == -np.inf).all(axis=1) | (step == max_out)
+            if stop.any():
+                keep(stop[:, None] & (logp > -np.inf), truncated=True)
+                go = ~stop
+                sent, logp, prefix, n_finished = sent[go], logp[go], prefix[go], n_finished[go]
+                hidden, mask, is_pad = (a[np.repeat(go, width)] for a in (hidden, mask, is_pad))
+                if not sent.size:
+                    break
+            probs = self.decode_step(prefix.reshape(sent.size * width, -1),
+                                     EncoderState(ad.Tensor(hidden), mask, is_pad))
+            cand = (logp[:, :, None] + np.log(probs + 1e-30).reshape(sent.size, width, -1)
+                    ).reshape(sent.size, -1)
+            top = np.empty((sent.size, width), dtype=np.int64)
+            rank = np.arange(sent.size)
+            for k in range(width):  # argmax takes the lower flat index among ties
+                top[:, k] = best = cand.argmax(axis=1)
+                logp[:, k] = cand[rank, best]
+                cand[rank, best] = -np.inf
+            slot, tok = np.divmod(top, probs.shape[1])
+            prefix = np.concatenate([prefix[rank[:, None], slot], tok[:, :, None]], axis=2)
+            ends = (tok == TEOS) & (logp > -np.inf)
+            if ends.any():
+                keep(ends, truncated=False)
+                logp[ends] = -np.inf
+                n_finished += ends.sum(axis=1)
+        return [max(f, key=lambda r: r.score) for f in finished]
 
     def _beam_single(self, enc_row: EncoderState, width: int, max_out: int) -> TranslationResult:
-        live: list[tuple[list[int], float]] = [([], 0.0)]
-        finished: list[TranslationResult] = []
-        for _ in range(max_out):
-            prefix = np.array([[TBOS] + ids for ids, _ in live], dtype=np.int64)
-            hidden = ad.Tensor(np.repeat(enc_row.hidden.data, len(live), axis=0))
-            mask = np.repeat(enc_row.mask, len(live), axis=0)
-            probs = self.decode_step(prefix, EncoderState(hidden, mask, enc_row.is_pad))
-            logp = np.log(probs + 1e-30)
-            candidates = []
-            for (ids, lp), row in zip(live, logp):
-                for tok in np.argsort(row)[::-1][:width]:
-                    candidates.append((ids + [int(tok)], lp + row[tok]))
-            candidates.sort(key=lambda c: c[1], reverse=True)
-            live = []
-            for ids, lp in candidates[:width]:
-                if ids[-1] == TEOS:
-                    finished.append(TranslationResult(
-                        ids=ids, score=lp / self._length_norm(len(ids)), truncated=False))
-                else:
-                    live.append((ids, lp))
-            if not live or len(finished) >= width:
-                break
-        for ids, lp in live:
-            finished.append(TranslationResult(
-                ids=ids, score=lp / self._length_norm(max(len(ids), 1)), truncated=True))
-        return max(finished, key=lambda r: r.score)
+        # perfbench/checks.py checks greedy against a width-1 search of each row through this
+        return self._search(enc_row, width, max_out)[0]
 
     def translate(self, src_ids: np.ndarray, ctx_ids: np.ndarray | None = None,
                   mode: str = "greedy", width: int | None = None,
                   max_out: int | None = None) -> list[TranslationResult]:
-        """Decode a batch; greedy is beam(1). Beam keeps the better of its own
-        best finalist and the greedy hypothesis, scored by length-normalized
-        log-probability."""
+        """Decode a batch with one batched beam search; greedy is its width 1.
+        Beam mode keeps, per row, the better of width 1 and `width` by length-
+        normalized log-probability, so it never scores below greedy."""
         if mode not in ("greedy", "beam"):
             raise ModelError(f"unknown decode mode {mode!r}")
         width = self.config.beam_width if width is None else width
@@ -363,16 +352,11 @@ class Transformer:
             raise ModelError(f"beam width must be >= 1, got {width}")
         max_out = (self.config.max_len - 1) if max_out is None else max_out
         enc = self.encode(src_ids, ctx_ids, train=False)
-        greedy = self._greedy(enc, max_out)
+        greedy = self._search(enc, 1, max_out)
         if mode == "greedy" or width == 1:
             return greedy
-        results = []
-        for i, g in enumerate(greedy):
-            row = EncoderState(hidden=ad.Tensor(enc.hidden.data[i:i + 1]),
-                               mask=enc.mask[i:i + 1], is_pad=enc.is_pad[i:i + 1])
-            b = self._beam_single(row, width, max_out)
-            results.append(b if b.score >= g.score else g)
-        return results
+        beam = self._search(enc, width, max_out)
+        return [b if b.score >= g.score else g for g, b in zip(greedy, beam)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,28 +396,42 @@ def load_checkpoint(path: str) -> Transformer:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a model checkpoint")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        size = fh.read(4)
+        if len(size) < 4:
+            raise CheckpointError(f"{path}: file ends inside the header length")
+        (header_len,) = struct.unpack("<I", size)
+        blob = fh.read(header_len)
+        if len(blob) < header_len:
+            raise CheckpointError(f"{path}: header length {header_len} runs past the end of the file")
         payload = fh.read()
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: unreadable header ({exc})") from None
+    if not isinstance(header, dict) or not HEADER_KEYS <= header.keys():
+        raise CheckpointError(f"{path}: header lacks one of {sorted(HEADER_KEYS)}")
+    if header["format_version"] != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format version {header['format_version']}")
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["payload_sha256"]:
         raise CheckpointError(f"{path}: checksum mismatch, file corrupted")
 
-    config = ModelConfig.from_dict(header["config"])
-    model = Transformer(config, np.random.default_rng(0), dtype=np.dtype(header["dtype"]))
-    stored = {e["name"]: e for e in header["tensors"]}
-    have = {name for name, _ in model.store.items()}
-    if set(stored) != have:
-        missing = sorted(have - set(stored))
-        extra = sorted(set(stored) - have)
-        raise CheckpointError(f"{path}: tensor set mismatch (missing {missing}, extra {extra})")
-    for name, tensor in model.store.items():
-        e = stored[name]
-        raw = payload[e["offset"]:e["offset"] + e["nbytes"]]
-        data = np.frombuffer(raw, dtype=np.dtype(e["dtype"])).reshape(e["shape"])
-        if tuple(data.shape) != tensor.shape:
-            raise CheckpointError(f"{path}: shape mismatch for {name}")
-        tensor.data = data.copy()
+    try:  # the header is not checksummed: any field may be malformed
+        config = ModelConfig.from_dict(header["config"])
+        model = Transformer(config, np.random.default_rng(0), dtype=np.dtype(header["dtype"]))
+        stored = {e["name"]: e for e in header["tensors"]}
+        have = {name for name, _ in model.store.items()}
+        if set(stored) != have:
+            missing = sorted(have - set(stored))
+            extra = sorted(set(stored) - have)
+            raise CheckpointError(f"{path}: tensor set mismatch (missing {missing}, extra {extra})")
+        for name, tensor in model.store.items():
+            e = stored[name]
+            raw = payload[e["offset"]:e["offset"] + e["nbytes"]]
+            data = np.frombuffer(raw, dtype=np.dtype(e["dtype"])).reshape(e["shape"])
+            if tuple(data.shape) != tensor.shape:
+                raise CheckpointError(f"{path}: shape mismatch for {name}")
+            tensor.data = data.copy()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({exc})") from None
     return model

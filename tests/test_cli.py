@@ -253,6 +253,51 @@ def test_translate_writes_manifest_beside_output(env):
     assert str(env["hyp"]) in manifest["outputs"][0]
 
 
+def _rewrite_header(blob, edit):
+    n = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + n])
+    edit(header)
+    new = json.dumps(header).encode()
+    return blob[:8] + len(new).to_bytes(4, "little") + new + blob[12 + n:]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda b: _rewrite_header(b, lambda h: h["config"].update(bogus=1)),
+    lambda b: b[:10],
+    lambda b: b[:8] + (len(b) + 100).to_bytes(4, "little") + b[12:],
+    lambda b: _rewrite_header(b, lambda h: h.pop("tensors")),
+    lambda b: _rewrite_header(b, lambda h: h.update(dtype="garbage")),
+    lambda b: _rewrite_header(b, lambda h: h["tensors"][0].pop("offset")),
+], ids=["unknown-config-key", "short-length", "length-past-end", "missing-key", "bad-dtype",
+        "entry-missing-key"])
+def test_translate_corrupt_checkpoint_is_a_validation_error(env, tmp_path, capsys, corrupt):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt((env["run"] / "best.ckpt").read_bytes()))
+    code, _, err = run(capsys, "translate", "--model", str(bad),
+                       "--data", str(env["data"] / "test.tsv"),
+                       "--src-vocab", str(env["data"] / "src.vocab"),
+                       "--tgt-vocab", str(env["data"] / "tgt.vocab"),
+                       "--output", str(tmp_path / "hyp.txt"))
+    assert code == 2
+    assert str(bad) in err
+
+
+def test_train_reports_context_only_truncation(env, tmp_path, capsys):
+    long_ctx = tmp_path / "longctx.tsv"
+    lines = (env["data"] / "train.tsv").read_text().splitlines()[:20]
+    long_ctx.write_text("".join(" ".join([src] * 8) + "\t" + src + "\t" + tgt + "\n"
+                                for src, tgt in (l.split("\t")[1:] for l in lines)))
+    code, out, _ = run(capsys, "train", "--data", str(long_ctx),
+                       "--out-dir", str(tmp_path / "x"),
+                       "--src-vocab", str(env["data"] / "src.vocab"),
+                       "--tgt-vocab", str(env["data"] / "tgt.vocab"),
+                       "--context-mode", "prev", "--n-layers", "1", "--d-model", "8",
+                       "--d-ff", "16", "--n-heads", "2", "--max-len", "24",
+                       "--max-steps", "1", "--quiet")
+    assert code == 0
+    assert "encoding: 0 unknown tokens, 20 truncated sequences" in out
+
+
 def test_bleu_on_model_output_runs(env, capsys):
     code, out, _ = run(capsys, "bleu", "--hyp", str(env["hyp"]),
                        "--ref", str(env["ref"]))

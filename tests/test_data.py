@@ -216,6 +216,9 @@ def test_attach_shuffled_reproducible_and_permutes():
     real = lambda cps: sorted(cp.context_text for cp in cps if cp.has_real_context)
     assert real(s1) == real(base)                  # a permutation of the same contexts
     assert [cp.has_real_context for cp in s1] == [cp.has_real_context for cp in base]
+    prepared = [(cp.context_text, "s", "t") for cp in base]
+    assert [c for c, _, _ in data.shuffle_contexts(prepared, seed=3)] == \
+        [cp.context_text for cp in s1]             # the same permutation as on prepared files
 
 
 def test_shuffle_contexts_on_prepared_triples():

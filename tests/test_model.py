@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxnmt.autodiff as ad
 from ctxnmt.model import (CheckpointError, EncoderState, ModelConfig, ModelError,
                           Transformer, load_checkpoint, save_checkpoint)
-from ctxnmt.vocab import PAD, TBOS, TEOS
+from ctxnmt.vocab import BOS, EOS, PAD, TBOS, TEOS
 
 
 def small_config(**overrides):
@@ -147,6 +149,73 @@ def test_translate_flags_truncation():
 def test_translate_rejects_unknown_mode():
     with pytest.raises(ModelError):
         small_model().translate(np.array([[6]]), mode="sampled")
+
+
+def reference_beam(model, enc, row, width, max_out):
+    """One sentence's beam search over Python candidate lists, the oracle for
+    translate. Log-probabilities add in float64; ties go to the earlier
+    hypothesis, then to the lower token id. Returns (ids, score, truncated)."""
+    hidden, mask = enc.hidden.data[row:row + 1], enc.mask[row:row + 1]
+    norm = lambda n: ((5.0 + n) / 6.0) ** model.config.length_penalty
+    live, finished = [([], 0.0)], []
+    for _ in range(max_out):
+        prefix = np.array([[TBOS] + ids for ids, _ in live], dtype=np.int64)
+        state = EncoderState(ad.Tensor(np.repeat(hidden, len(live), axis=0)),
+                             np.repeat(mask, len(live), axis=0), enc.is_pad[row:row + 1])
+        logp = np.log(model.decode_step(prefix, state) + 1e-30)
+        candidates = []
+        for (ids, lp), row_lp in zip(live, logp):
+            for tok in np.argsort(-row_lp, kind="stable")[:width]:
+                candidates.append((ids + [int(tok)], lp + float(row_lp[tok])))
+        candidates.sort(key=lambda c: c[1], reverse=True)
+        live = []
+        for ids, lp in candidates[:width]:
+            if ids[-1] == TEOS:
+                finished.append((ids, lp / norm(len(ids)), False))
+            else:
+                live.append((ids, lp))
+        if not live or len(finished) >= width:
+            break
+    finished += [(ids, lp / norm(max(len(ids), 1)), True) for ids, lp in live]
+    return max(finished, key=lambda f: f[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), mode=st.sampled_from(["none", "gated-context", "concat"]),
+       tgt_vocab=st.integers(7, 10), eos_bias=st.sampled_from([None, -1e4, 1.5]),
+       flat=st.booleans(), extra_width=st.integers(0, 10),
+       lengths=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 4)), min_size=1, max_size=4))
+def test_batched_search_matches_reference_beam(seed, mode, tgt_vocab, eos_bias, flat,
+                                               extra_width, lengths):
+    """translate's ids, scores and truncation flags equal the per-sentence
+    reference, for widths up to one past the target vocabulary, on padded
+    batches whose rows finish at different steps (a TEOS bias of 1.5 ends
+    many early, -1e4 none). Zeroed output weights make every step a tie."""
+    width = 1 + extra_width % (tgt_vocab + 1)
+    model = small_model(seed, tgt_vocab=tgt_vocab, n_layers=1 + seed % 2,
+                        context_mode=mode, dropout=0.0)
+    if eos_bias is not None:
+        model.out_proj.b.data[TEOS] = eos_bias
+    if flat:
+        model.out_proj.w.data[:] = 0.0
+    rng = np.random.default_rng(seed)
+    src = np.full((len(lengths), max(s for s, _ in lengths)), PAD, dtype=np.int64)
+    ctx = np.full((len(lengths), 2 + max(c for _, c in lengths)), PAD, dtype=np.int64)
+    for i, (s, c) in enumerate(lengths):
+        src[i, :s] = rng.integers(6, 12, size=s)
+        ctx[i, :c + 2] = [BOS, *rng.integers(6, 12, size=c), EOS]
+    ctx = None if mode == "none" else ctx
+    enc = model.encode(src, ctx)
+    max_out = 6
+    greedy = model.translate(src, ctx, mode="greedy", max_out=max_out)
+    beam = model.translate(src, ctx, mode="beam", width=width, max_out=max_out)
+    for i, (g, b) in enumerate(zip(greedy, beam)):
+        ref_g = reference_beam(model, enc, i, 1, max_out)
+        ref_b = reference_beam(model, enc, i, width, max_out)
+        ref_b = ref_b if ref_b[1] >= ref_g[1] else ref_g
+        for got, (ids, score, truncated) in ((g, ref_g), (b, ref_b)):
+            assert got.ids == ids and got.truncated == truncated
+            assert got.score == pytest.approx(score, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
