@@ -16,6 +16,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from . import bpe
+from .data import numbered_lines
 from .evaluation import CorefAnnotation
 
 EXCLUDED_TOKENS = ("<bos>", "<eos>", "<pad>")
@@ -70,12 +71,27 @@ def write_records(path: str, records: list[AttentionRecord]) -> None:
 
 def read_records(path: str) -> list[AttentionRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+    for lineno, line in numbered_lines(path, AnalysisError):
+        if line.strip():
+            try:
                 d = json.loads(line)
                 records.append(AttentionRecord(d["example_id"], d["src_tokens"],
                                                d["ctx_tokens"], d["weights"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise AnalysisError(f"{path}:{lineno}: malformed record ({exc})") from None
+    return records
+
+
+def attention_records(model, batches, src_vocab) -> list[AttentionRecord]:
+    """A gated-context model's head-averaged context attention, one record per
+    example of `batches` (which yields what `trainer.decode_batches` does)."""
+    records = []
+    for chunk, src, ctx in batches:
+        enc = model.encode(src, ctx)
+        for i, ex in enumerate(chunk):
+            weights = enc.ctx_attention[i, :len(ex.source_ids), :len(ex.context_ids)]
+            records.append(AttentionRecord(ex.example_id, src_vocab.decode(ex.source_ids),
+                                           src_vocab.decode(ex.context_ids), weights))
     return records
 
 

@@ -167,14 +167,6 @@ def _override_contexts(triples: list[tuple[str, str, str]], override: str,
     return triples
 
 
-def _encoded_batches(examples, batch_size: int, with_context: bool):
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start:start + batch_size]
-        src = trainer.pad_ids([ex.source_ids for ex in chunk])
-        ctx = trainer.pad_ids([ex.context_ids for ex in chunk]) if with_context else None
-        yield chunk, src, ctx
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -333,12 +325,16 @@ def _load_model_and_data(args) -> tuple:
 
 
 def cmd_translate(args) -> int:
+    inputs = [args.model, args.data, args.src_vocab, args.tgt_vocab]
+    _check_no_overwrite(inputs, [args.output])
+    if args.refs_out:
+        _check_no_overwrite(inputs + [args.output], [args.refs_out])
     model, _, tgt_vocab, triples, examples = _load_model_and_data(args)
     needs_ctx = model.config.context_mode != "none"
 
     hyps = []
     truncated = 0
-    for chunk, src, ctx in _encoded_batches(examples, args.batch_size, needs_ctx):
+    for _, src, ctx in trainer.decode_batches(examples, args.batch_size, needs_ctx):
         results = model.translate(src, ctx, mode=args.mode, width=args.width,
                                   max_out=args.max_out)
         for res in results:
@@ -347,15 +343,12 @@ def cmd_translate(args) -> int:
             hyps.append(" ".join(bpe.detokenize(pieces)))
 
     outputs = [args.output]
-    _check_no_overwrite([args.data, args.src_vocab, args.tgt_vocab, args.model], outputs)
     _write_lines(args.output, hyps)
     if args.refs_out:
         refs = [" ".join(bpe.detokenize(tgt.split())) for _, _, tgt in triples]
-        _check_no_overwrite([args.data, args.output], [args.refs_out])
         _write_lines(args.refs_out, refs)
         outputs.append(args.refs_out)
-    write_manifest(_manifest_beside(args.output), args,
-                   [args.model, args.data, args.src_vocab, args.tgt_vocab], outputs)
+    write_manifest(_manifest_beside(args.output), args, inputs, outputs)
 
     note = f" ({truncated} hit the length limit)" if truncated else ""
     print(f"translated {len(hyps)} sentences{note} -> {args.output}")
@@ -392,29 +385,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
+    inputs = [args.model, args.data, args.src_vocab, args.tgt_vocab]
+    _check_no_overwrite(inputs, [args.output])
     model, src_vocab, _, _, examples = _load_model_and_data(args)
     if model.config.context_mode != "gated-context":
         raise CliError(
             f"attention dumps need a gated-context checkpoint; this model was trained "
             f"with context mode {model.config.context_mode!r}")
 
-    records = []
-    for chunk, src, ctx in _encoded_batches(examples, args.batch_size, True):
-        enc = model.encode(src, ctx, train=False)
-        for i, ex in enumerate(chunk):
-            n_src, n_ctx = len(ex.source_ids), len(ex.context_ids)
-            records.append(analysis.AttentionRecord(
-                example_id=ex.example_id,
-                src_tokens=src_vocab.decode(ex.source_ids),
-                ctx_tokens=src_vocab.decode(ex.context_ids),
-                weights=enc.ctx_attention[i, :n_src, :n_ctx]))
-
-    _check_no_overwrite([args.model, args.data, args.src_vocab, args.tgt_vocab],
-                        [args.output])
+    records = analysis.attention_records(
+        model, trainer.decode_batches(examples, args.batch_size, True), src_vocab)
     analysis.write_records(args.output, records)
-    write_manifest(_manifest_beside(args.output), args,
-                   [args.model, args.data, args.src_vocab, args.tgt_vocab],
-                   [args.output])
+    write_manifest(_manifest_beside(args.output), args, inputs, [args.output])
     print(f"wrote {len(records)} attention records -> {args.output}")
     return EXIT_OK
 

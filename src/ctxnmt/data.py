@@ -45,7 +45,6 @@ class Example:
     context_ids: list[int]
     source_ids: list[int]
     target_ids: list[int]
-    has_real_context: bool
 
     def __post_init__(self):
         if not self.source_ids or not self.target_ids:
@@ -166,14 +165,25 @@ def write_prepared(path: str, triples: list[tuple[str, str, str]]) -> None:
             fh.write(f"{ctx}\t{src}\t{tgt}\n")
 
 
+def numbered_lines(path: str, error: type[Exception]):
+    """Yield (line number, line) of a UTF-8 text file; a line holding bytes
+    that are not UTF-8 raises `error` naming path:line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(f"{path}:{lineno}: not valid UTF-8") from None
+            yield lineno, line
+
+
 def read_prepared(path: str) -> list[tuple[str, str, str]]:
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            triples.append((fields[0], fields[1], fields[2]))
+    for lineno, line in numbered_lines(path, DataError):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        triples.append((fields[0], fields[1], fields[2]))
     return triples
 
 
@@ -216,6 +226,5 @@ def encode_examples(triples: list[tuple[str, str, str]], src_vocab: Vocab,
             context_ids=[BOS] + ctx_ids + [EOS],
             source_ids=src_ids + [EOS],
             target_ids=[TBOS] + tgt_ids + [TEOS],
-            has_real_context=bool(ctx),
         ))
     return examples, stats

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import numbered_lines
+
 MAX_ORDER = 4
 
 
@@ -175,13 +177,13 @@ def write_annotations(path: str, annotations: list[CorefAnnotation]) -> None:
 
 def read_annotations(path: str) -> list[CorefAnnotation]:
     annotations = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 8:
-                raise EvalError(f"{path}:{lineno}: expected 8 tab-separated fields")
-            eid, pron, pidx, span, has_noun, count, gender, nouns = fields
-            start, _, end = span.partition(":")
+    for lineno, line in numbered_lines(path, EvalError):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != 8:
+            raise EvalError(f"{path}:{lineno}: expected 8 tab-separated fields")
+        eid, pron, pidx, span, has_noun, count, gender, nouns = fields
+        start, _, end = span.partition(":")
+        try:
             annotations.append(CorefAnnotation(
                 example_id=eid,
                 pronoun=pron,
@@ -192,6 +194,8 @@ def read_annotations(path: str) -> list[CorefAnnotation]:
                 gender_label=None if gender == "-" else gender,
                 noun_positions=[] if nouns == "-" else [int(p) for p in nouns.split(",")],
             ))
+        except ValueError as exc:
+            raise EvalError(f"{path}:{lineno}: malformed annotation ({exc})") from None
     return annotations
 
 

@@ -7,8 +7,6 @@ in as a callable so the same layer objects serve training and inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -59,11 +57,8 @@ class ParamStore:
             t.grad = None
 
 
-def positional_encoding(length: int, d_model: int, max_len: int | None = None,
-                        dtype=np.float32) -> np.ndarray:
+def positional_encoding(length: int, d_model: int, dtype=np.float32) -> np.ndarray:
     """Sinusoidal position table, shape (length, d_model)."""
-    if max_len is not None and length > max_len:
-        raise ValueError(f"sequence length {length} exceeds max_len {max_len}")
     pos = np.arange(length, dtype=np.float64)[:, None]
     dim = np.arange(d_model, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * (dim // 2) / d_model)
@@ -110,8 +105,8 @@ class LayerNorm:
 class MultiHeadAttention:
     """Scaled dot-product attention over h heads.
 
-    Returns (output, weights) where weights is the head-averaged attention
-    matrix as a plain ndarray (B, Tq, Tk), detached for analysis.
+    Returns (output, weights) where weights are the per-head attention
+    probabilities as a plain ndarray (B, h, Tq, Tk), detached for analysis.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, n_heads: int):
@@ -142,7 +137,7 @@ class MultiHeadAttention:
         attn = ad.softmax(scores, mask=mask)
         ctx = ad.matmul(attn, v)
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, t_q, d_model))
-        return self.wo(merged), attn.data.mean(axis=1)
+        return self.wo(merged), attn.data
 
 
 class FeedForward:
@@ -163,12 +158,10 @@ class EncoderLayer:
         self.ffn = FeedForward(store, f"{name}.ffn", d_model, d_ff)
         self.ln2 = LayerNorm(store, f"{name}.ln2", d_model)
 
-    def __call__(self, x: ad.Tensor, mask: np.ndarray | None,
-                 drop) -> tuple[ad.Tensor, np.ndarray]:
-        a, weights = self.self_attn(x, x, mask)
+    def __call__(self, x: ad.Tensor, mask: np.ndarray | None, drop) -> ad.Tensor:
+        a, _ = self.self_attn(x, x, mask)
         s = self.ln1(ad.add(x, drop(a)))
-        out = self.ln2(ad.add(s, drop(self.ffn(s))))
-        return out, weights
+        return self.ln2(ad.add(s, drop(self.ffn(s))))
 
 
 class DecoderLayer:
@@ -183,13 +176,12 @@ class DecoderLayer:
         self.ln3 = LayerNorm(store, f"{name}.ln3", d_model)
 
     def __call__(self, x: ad.Tensor, enc_hidden: ad.Tensor, self_mask: np.ndarray,
-                 cross_mask: np.ndarray | None, drop) -> tuple[ad.Tensor, np.ndarray]:
+                 cross_mask: np.ndarray | None, drop) -> ad.Tensor:
         a, _ = self.self_attn(x, x, self_mask)
         s = self.ln1(ad.add(x, drop(a)))
-        c, cross_weights = self.cross_attn(s, enc_hidden, cross_mask)
+        c, _ = self.cross_attn(s, enc_hidden, cross_mask)
         s2 = self.ln2(ad.add(s, drop(c)))
-        out = self.ln3(ad.add(s2, drop(self.ffn(s2))))
-        return out, cross_weights
+        return self.ln3(ad.add(s2, drop(self.ffn(s2))))
 
 
 class GatedFusion:
@@ -211,16 +203,6 @@ class GatedFusion:
         return fused, g
 
 
-@dataclass
-class FusionOutput:
-    out: ad.Tensor
-    gate: ad.Tensor
-    ctx_weights: np.ndarray | None
-    fused: ad.Tensor
-    self_branch: ad.Tensor
-    ctx_branch: ad.Tensor
-
-
 class ContextFusionLayer:
     """Final encoder layer that mixes in context through a gated sum.
 
@@ -229,6 +211,8 @@ class ContextFusionLayer:
     gate in place of a plain residual add (then norm), then FFN sublayer.
     With zero_context=True the context branch is skipped and the gate sees an
     all-zero context path; used to verify context cannot bypass the gate.
+    Returns (out, gate, ctx_weights), ctx_weights being the head-averaged
+    context attention (B, S, C), or None when the context branch is skipped.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, n_heads: int, d_ff: int):
@@ -242,17 +226,16 @@ class ContextFusionLayer:
 
     def __call__(self, x: ad.Tensor, ctx_hidden: ad.Tensor | None,
                  self_mask: np.ndarray | None, ctx_mask: np.ndarray | None,
-                 drop, zero_context: bool = False) -> FusionOutput:
+                 drop, zero_context: bool = False
+                 ) -> tuple[ad.Tensor, ad.Tensor, np.ndarray | None]:
         a, _ = self.self_attn(x, x, self_mask)
         s = self.ln1(ad.add(x, drop(a)))
         if zero_context:
-            b = ad.Tensor(np.zeros_like(s.data))
-            ctx_weights = None
+            b, ctx_weights = ad.Tensor(np.zeros_like(s.data)), None
         else:
-            c, ctx_weights = self.ctx_attn(s, ctx_hidden, ctx_mask)
-            b = drop(c)
+            c, weights = self.ctx_attn(s, ctx_hidden, ctx_mask)
+            b, ctx_weights = drop(c), weights.mean(axis=1)
         fused, g = self.fusion(s, b)
         h = self.ln2(fused)
         out = self.ln3(ad.add(h, drop(self.ffn(h))))
-        return FusionOutput(out=out, gate=g, ctx_weights=ctx_weights, fused=fused,
-                            self_branch=s, ctx_branch=b)
+        return out, g, ctx_weights

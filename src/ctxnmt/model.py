@@ -79,18 +79,14 @@ class ModelConfig:
 
 @dataclass
 class EncoderState:
-    """Final encoder hidden states plus what the decoder needs to attend."""
+    """What ``encode`` returns; ``decode_step`` reads only ``hidden`` and ``mask``.
+
+    ``is_pad`` marks the pad positions of the encoded ids. Gated-context models
+    also fill ``gates``, the fusion gate values (B, S, d_model), and, unless the
+    context path is zeroed, ``ctx_attention``, head-averaged (B, S, C)."""
     hidden: ad.Tensor
     mask: np.ndarray
-    is_pad: np.ndarray
-
-
-@dataclass
-class ContextualEncoderOutput(EncoderState):
-    """Encoder state extended with the gate diagnostics of the fusion layer.
-
-    ``ctx_attention`` is head-averaged, shape (B, S, C).
-    """
+    is_pad: np.ndarray | None = None
     gates: np.ndarray | None = None
     ctx_attention: np.ndarray | None = None
 
@@ -170,26 +166,27 @@ class Transformer:
         drop = self._drop_fn(train, rng)
         mode = self.config.context_mode
 
-        if mode == "concat":
-            if ctx_ids is None:
-                raise ModelError("concat mode needs context ids")
-            merged, flags = self._repack_concat(np.asarray(ctx_ids), src_ids)
-            return self._encode_plain(merged, drop, flags=flags)
         if mode == "gated-context":
             if ctx_ids is None:
                 raise ModelError("gated-context mode needs context ids")
             return self._encode_gated(src_ids, self._normalize_context(np.asarray(ctx_ids)),
                                       drop, zero_context)
-        return self._encode_plain(src_ids, drop)
+        flags = None
+        if mode == "concat":
+            if ctx_ids is None:
+                raise ModelError("concat mode needs context ids")
+            src_ids, flags = self._repack_concat(np.asarray(ctx_ids), src_ids)
+        return EncoderState(*self._encoder_stack(src_ids, drop, flags))
 
-    def _encode_plain(self, ids: np.ndarray, drop, flags: np.ndarray | None = None) -> EncoderState:
+    def _encoder_stack(self, ids: np.ndarray, drop, flags: np.ndarray | None = None
+                       ) -> tuple[ad.Tensor, np.ndarray, np.ndarray]:
+        """Embed ids and run the shared encoder layers: (hidden, mask, is_pad)."""
         is_pad = ids == PAD
         mask = ly.padding_mask(is_pad, self.dtype)
-        x = self._embed(self.src_embed, ids, flags=flags)
-        x = drop(x)
+        x = drop(self._embed(self.src_embed, ids, flags=flags))
         for layer in self.enc_layers:
-            x, _ = layer(x, mask, drop)
-        return EncoderState(hidden=x, mask=mask, is_pad=is_pad)
+            x = layer(x, mask, drop)
+        return x, mask, is_pad
 
     def _normalize_context(self, ctx_ids: np.ndarray) -> np.ndarray:
         """Ensure every context row carries the leading role token."""
@@ -204,28 +201,16 @@ class Transformer:
         return np.concatenate([lead, ctx_ids], axis=1)
 
     def _encode_gated(self, src_ids: np.ndarray, ctx_ids: np.ndarray, drop,
-                      zero_context: bool) -> ContextualEncoderOutput:
-        src_pad = src_ids == PAD
-        ctx_pad = ctx_ids == PAD
-        src_mask = ly.padding_mask(src_pad, self.dtype)
-        ctx_mask = ly.padding_mask(ctx_pad, self.dtype)
-
-        x = drop(self._embed(self.src_embed, src_ids))
-        for layer in self.enc_layers:
-            x, _ = layer(x, src_mask, drop)
-
-        ctx_hidden = None
+                      zero_context: bool) -> EncoderState:
+        x, src_mask, src_pad = self._encoder_stack(src_ids, drop)
+        ctx_hidden = ctx_mask = None
         if not zero_context:
-            h = drop(self._embed(self.src_embed, ctx_ids))
-            for layer in self.enc_layers:
-                h, _ = layer(h, ctx_mask, drop)
-            ctx_hidden, _ = self.ctx_final(h, ctx_mask, drop)
-
-        fo = self.fusion_layer(x, ctx_hidden, src_mask, ctx_mask, drop,
-                               zero_context=zero_context)
-        return ContextualEncoderOutput(
-            hidden=fo.out, mask=src_mask, is_pad=src_pad,
-            gates=fo.gate.data.copy(), ctx_attention=fo.ctx_weights)
+            h, ctx_mask, _ = self._encoder_stack(ctx_ids, drop)
+            ctx_hidden = self.ctx_final(h, ctx_mask, drop)
+        out, gate, ctx_attention = self.fusion_layer(x, ctx_hidden, src_mask, ctx_mask, drop,
+                                                     zero_context=zero_context)
+        return EncoderState(out, src_mask, src_pad, gates=gate.data.copy(),
+                            ctx_attention=ctx_attention)
 
     def _repack_concat(self, ctx_ids: np.ndarray, src_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Join [context ; source] per row, dropping pads and the role token."""
@@ -257,7 +242,7 @@ class Transformer:
         self_mask = ly.causal_mask(length, self.dtype) + ly.padding_mask(tgt_in == PAD, self.dtype)
         y = drop(self._embed(self.tgt_embed, tgt_in))
         for layer in self.dec_layers:
-            y, _ = layer(y, enc.hidden, self_mask, enc.mask, drop)
+            y = layer(y, enc.hidden, self_mask, enc.mask, drop)
         return self.out_proj(y)
 
     def loss(self, src_ids: np.ndarray, tgt_ids: np.ndarray,
@@ -294,7 +279,7 @@ class Transformer:
         length-normalized log-probabilities, added in float64."""
         sent = np.arange(enc.hidden.shape[0])  # batch row of each sentence still searching
         rows = np.repeat(sent, width)
-        hidden, mask, is_pad = enc.hidden.data[rows], enc.mask[rows], enc.is_pad[rows]
+        hidden, mask = enc.hidden.data[rows], enc.mask[rows]
         prefix = np.full((sent.size, width, 1), TBOS, dtype=np.int64)
         logp = np.full((sent.size, width), -np.inf)
         logp[:, 0] = 0.0
@@ -313,11 +298,11 @@ class Transformer:
                 keep(stop[:, None] & (logp > -np.inf), truncated=True)
                 go = ~stop
                 sent, logp, prefix, n_finished = sent[go], logp[go], prefix[go], n_finished[go]
-                hidden, mask, is_pad = (a[np.repeat(go, width)] for a in (hidden, mask, is_pad))
+                hidden, mask = (a[np.repeat(go, width)] for a in (hidden, mask))
                 if not sent.size:
                     break
             probs = self.decode_step(prefix.reshape(sent.size * width, -1),
-                                     EncoderState(ad.Tensor(hidden), mask, is_pad))
+                                     EncoderState(ad.Tensor(hidden), mask))
             cand = (logp[:, :, None] + np.log(probs + 1e-30).reshape(sent.size, width, -1)
                     ).reshape(sent.size, -1)
             top = np.empty((sent.size, width), dtype=np.int64)
@@ -351,6 +336,9 @@ class Transformer:
         if width < 1:
             raise ModelError(f"beam width must be >= 1, got {width}")
         max_out = (self.config.max_len - 1) if max_out is None else max_out
+        if not 0 <= max_out <= self.config.max_len - 1:
+            raise ModelError(f"max_out must be in [0, {self.config.max_len - 1}] "
+                             f"(max_len - 1), got {max_out}")
         enc = self.encode(src_ids, ctx_ids, train=False)
         greedy = self._search(enc, 1, max_out)
         if mode == "greedy" or width == 1:

@@ -121,7 +121,6 @@ class Batch:
     ctx: np.ndarray
     src: np.ndarray
     tgt: np.ndarray
-    has_real_context: np.ndarray
     n_src_tokens: int
 
 
@@ -133,13 +132,21 @@ def pad_ids(rows: list[list[int]]) -> np.ndarray:
     return out
 
 
+def decode_batches(examples: list[Example], batch_size: int, with_context: bool):
+    """Fixed-size batches in file order, for decoding and attention dumps:
+    yields (examples, padded source ids, padded context ids or None)."""
+    for start in range(0, len(examples), batch_size):
+        chunk = examples[start:start + batch_size]
+        ctx = pad_ids([ex.context_ids for ex in chunk]) if with_context else None
+        yield chunk, pad_ids([ex.source_ids for ex in chunk]), ctx
+
+
 def _to_batch(group: list[Example]) -> Batch:
     return Batch(
         example_ids=[ex.example_id for ex in group],
         ctx=pad_ids([ex.context_ids for ex in group]),
         src=pad_ids([ex.source_ids for ex in group]),
         tgt=pad_ids([ex.target_ids for ex in group]),
-        has_real_context=np.array([ex.has_real_context for ex in group]),
         n_src_tokens=sum(len(ex.source_ids) for ex in group),
     )
 

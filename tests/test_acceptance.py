@@ -84,7 +84,7 @@ def test_criterion_2_gate_bottleneck():
     mask = np.where(src == PAD, ad.MASK_SENTINEL, 0.0).astype(np.float32)[:, None, None, :]
     x = model._embed(model.src_embed, src)
     for layer in model.enc_layers:
-        x, _ = layer(x, mask, lambda t: t)
+        x = layer(x, mask, lambda t: t)
     fuse = model.fusion_layer
     attn_out, _ = fuse.self_attn(x, x, mask)
     s = fuse.ln1(ad.add(x, attn_out))
@@ -128,31 +128,10 @@ class ExperimentResult:
 
 def _decode_all(model, examples, tgt_vocab, batch_size=256):
     hyps = []
-    for i in range(0, len(examples), batch_size):
-        chunk = examples[i:i + batch_size]
-        src = tr.pad_ids([e.source_ids for e in chunk])
-        ctx = tr.pad_ids([e.context_ids for e in chunk])
+    for _, src, ctx in tr.decode_batches(examples, batch_size, True):
         for res in model.translate(src, ctx, mode="greedy", max_out=8):
             hyps.append(tgt_vocab.decode(res.ids, strip_specials=True))
     return hyps
-
-
-def _dump_records(model, examples, src_vocab, batch_size=256):
-    records = []
-    for i in range(0, len(examples), batch_size):
-        chunk = examples[i:i + batch_size]
-        src = tr.pad_ids([e.source_ids for e in chunk])
-        ctx = tr.pad_ids([e.context_ids for e in chunk])
-        enc = model.encode(src, ctx, train=False)
-        for b, e in enumerate(chunk):
-            n_src, n_ctx = len(e.source_ids), len(e.context_ids)
-            records.append(an.AttentionRecord(
-                example_id=e.example_id,
-                src_tokens=src_vocab.decode(e.source_ids),
-                ctx_tokens=src_vocab.decode(e.context_ids),
-                weights=enc.ctx_attention[b, :n_src, :n_ctx],
-            ))
-    return records
 
 
 @pytest.fixture(scope="session")
@@ -216,7 +195,8 @@ def experiment(tmp_path_factory):
     p_real = ev.bootstrap_significance(hyps["gated-shuffled"], hyps["gated"], refs,
                                        samples=1000, seed=0)
 
-    records = _dump_records(models["gated-context"], test_ex, src_vocab)
+    records = an.attention_records(models["gated-context"],
+                                   tr.decode_batches(test_ex, 256, True), src_vocab)
     report = an.agreement_report(records, list(annotations.values()), min_nouns=2,
                                  seed=cfg["data_seed"])
 

@@ -282,6 +282,51 @@ def test_translate_corrupt_checkpoint_is_a_validation_error(env, tmp_path, capsy
     assert str(bad) in err
 
 
+@pytest.mark.parametrize("max_out", ["-1", "24"])
+def test_translate_max_out_outside_range_is_a_validation_error(env, tmp_path, capsys,
+                                                               max_out):
+    out = tmp_path / "hyp.txt"
+    code, _, err = run(capsys, "translate", "--model", str(env["run"] / "best.ckpt"),
+                       "--data", str(env["data"] / "test.tsv"),
+                       "--src-vocab", str(env["data"] / "src.vocab"),
+                       "--tgt-vocab", str(env["data"] / "tgt.vocab"),
+                       "--output", str(out), "--max-out", max_out)
+    assert code == 2
+    assert "max_out" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("victim", ["model", "src.vocab", "tgt.vocab"])
+def test_translate_refs_out_cannot_overwrite_an_input(env, tmp_path, capsys, victim):
+    inputs = {"model": env["run"] / "best.ckpt", "src.vocab": env["data"] / "src.vocab",
+              "tgt.vocab": env["data"] / "tgt.vocab"}
+    for name, path in inputs.items():  # private copies, so a failure clobbers nothing shared
+        (tmp_path / name).write_bytes(path.read_bytes())
+    out = tmp_path / "hyp.txt"
+    code, _, err = run(capsys, "translate", "--model", str(tmp_path / "model"),
+                       "--data", str(env["data"] / "test.tsv"),
+                       "--src-vocab", str(tmp_path / "src.vocab"),
+                       "--tgt-vocab", str(tmp_path / "tgt.vocab"),
+                       "--output", str(out), "--refs-out", str(tmp_path / victim))
+    assert code == 2
+    assert "overwrite" in err
+    assert (tmp_path / victim).read_bytes() == inputs[victim].read_bytes()
+    assert not out.exists()
+
+
+def test_translate_non_utf8_data_is_a_validation_error(env, tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    lines = (env["data"] / "test.tsv").read_bytes().splitlines(keepends=True)
+    bad.write_bytes(lines[0] + b"\xff\xfe" + lines[1])
+    code, _, err = run(capsys, "translate", "--model", str(env["run"] / "best.ckpt"),
+                       "--data", str(bad),
+                       "--src-vocab", str(env["data"] / "src.vocab"),
+                       "--tgt-vocab", str(env["data"] / "tgt.vocab"),
+                       "--output", str(tmp_path / "hyp.txt"))
+    assert code == 2
+    assert f"{bad}:2: not valid UTF-8" in err
+
+
 def test_train_reports_context_only_truncation(env, tmp_path, capsys):
     long_ctx = tmp_path / "longctx.tsv"
     lines = (env["data"] / "train.tsv").read_text().splitlines()[:20]
@@ -379,6 +424,18 @@ def test_analyze_confusion(env, records_path, capsys):
     assert "last right" in out
 
 
+@pytest.mark.parametrize("bad_line", [b"{not json\n", b'{"example_id": "0"}\n',
+                                      b"[1, 2]\n", b"\xff\n"],
+                         ids=["json", "missing-key", "not-an-object", "not-utf8"])
+def test_analyze_malformed_records_is_a_validation_error(records_path, tmp_path, capsys,
+                                                         bad_line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(records_path.read_bytes().splitlines(keepends=True)[0] + bad_line)
+    code, _, err = run(capsys, "analyze", "useful-mass", "--records", str(bad))
+    assert code == 2
+    assert f"{bad}:2:" in err
+
+
 def test_analyze_heatmap(records_path, tmp_path, capsys):
     out_svg = tmp_path / "h.svg"
     code, out, _ = run(capsys, "analyze", "heatmap", "--records",
@@ -411,6 +468,17 @@ def test_analyze_curves_writes_series(env, records_path, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # build-testset
 # ---------------------------------------------------------------------------
+
+
+def test_build_testset_malformed_annotations_is_a_validation_error(env, tmp_path, capsys):
+    bad = tmp_path / "bad.annotations"
+    fields = (env["data"] / "test.annotations").read_text().splitlines()[0].split("\t")
+    fields[2] = "three"  # the pronoun index is not an integer
+    bad.write_text("\t".join(fields) + "\n")
+    code, _, err = run(capsys, "build-testset", "--data", str(env["data"] / "test.tsv"),
+                       "--annotations", str(bad), "--out-dir", str(tmp_path / "subset"))
+    assert code == 2
+    assert f"{bad}:1: malformed annotation" in err
 
 
 def test_build_testset_filters_and_renumbers(env, tmp_path, capsys):

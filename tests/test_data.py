@@ -268,7 +268,6 @@ def test_encode_examples_attaches_specials():
     assert first.source_ids[-1] == EOS
     assert first.target_ids[0] == TBOS and first.target_ids[-1] == TEOS
     assert second.context_ids == [BOS, EOS]        # empty context keeps the frame
-    assert not second.has_real_context and first.has_real_context
 
 
 def test_encode_examples_counts_unks():

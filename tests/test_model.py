@@ -146,6 +146,22 @@ def test_translate_flags_truncation():
     assert len(out.ids) <= 1
 
 
+@pytest.mark.parametrize("max_out", [-1, 8, 20])
+def test_translate_rejects_max_out_outside_range_before_encoding(max_out):
+    model = small_model(max_len=8)
+    model.encode = lambda *a, **k: pytest.fail("encoded before max_out was checked")
+    with pytest.raises(ModelError, match="max_out"):
+        model.translate(np.array([[6, 7]]), max_out=max_out)
+
+
+def test_translate_decodes_up_to_max_len_minus_one():
+    model = small_model(max_len=8)
+    model.store["out_proj.b"].data[TEOS] = -1e4  # no hypothesis ends early
+    for mode in ("greedy", "beam"):
+        (out,) = model.translate(np.array([[6, 7]]), mode=mode, width=2, max_out=7)
+        assert len(out.ids) == 7 and out.truncated
+
+
 def test_translate_rejects_unknown_mode():
     with pytest.raises(ModelError):
         small_model().translate(np.array([[6]]), mode="sampled")

@@ -148,7 +148,6 @@ def _example(i, src_len, tgt_len=3):
         context_ids=[2, 3],
         source_ids=list(range(6, 6 + src_len - 1)) + [EOS],
         target_ids=[TBOS] + list(range(6, 6 + tgt_len)) + [TEOS],
-        has_real_context=False,
     )
 
 
@@ -214,7 +213,7 @@ def _toy_dataset():
     pairs = [([6, 7], [8, 9]), ([7, 8], [9, 10]), ([9], [11]),
              ([10, 6, 7], [12, 8]), ([11, 12], [13, 14])]
     return [
-        Example(str(i), [2, 3], src + [EOS], [TBOS] + tgt + [TEOS], False)
+        Example(str(i), [2, 3], src + [EOS], [TBOS] + tgt + [TEOS])
         for i, (src, tgt) in enumerate(pairs)
     ]
 
