@@ -16,8 +16,8 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from . import bpe
-from .data import numbered_lines
 from .evaluation import CorefAnnotation
+from .vocab import numbered_lines
 
 EXCLUDED_TOKENS = ("<bos>", "<eos>", "<pad>")
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass, field
 
+from .vocab import numbered_lines
+
 CONNECTOR = "@@"
 
 
@@ -30,12 +32,11 @@ class BpeModel:
     @classmethod
     def load(cls, path: str) -> "BpeModel":
         merges = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) != 2:
-                    raise BpeError(f"{path}: bad merge line {line!r}")
-                merges.append((parts[0], parts[1]))
+        for lineno, line in numbered_lines(path, BpeError):
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) != 2:
+                raise BpeError(f"{path}:{lineno}: bad merge line {line!r}")
+            merges.append((parts[0], parts[1]))
         return cls(merges)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, analysis, bpe, data, evaluation, gradcheck, synthetic, trainer
 from .autodiff import AutodiffError
 from .model import CheckpointError, ModelConfig, ModelError, Transformer, load_checkpoint
-from .vocab import Vocab, VocabError
+from .vocab import Vocab, VocabError, numbered_lines
 
 EXIT_OK = 0
 EXIT_NOT_SIGNIFICANT = 1  # compare mode only: ran fine, improvement not significant
@@ -77,12 +77,8 @@ def _check_no_overwrite(inputs: list[str], outputs: list[str]) -> None:
 
 
 def read_config_entries(path: str) -> list[tuple[str, str]]:
-    try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
     entries = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in numbered_lines(path, CliError):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -137,11 +133,7 @@ def apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
 
 
 def _read_token_lines(path: str) -> list[list[str]]:
-    try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    return [line.split() for line in text.splitlines()]
+    return [line.split() for _, line in numbered_lines(path, CliError)]
 
 
 def _write_lines(path: str, lines: list[str]) -> None:

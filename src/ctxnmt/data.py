@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vocab import BOS, EOS, TBOS, TEOS, Vocab
+from .vocab import BOS, EOS, TBOS, TEOS, Vocab, numbered_lines
 
 CONTEXT_DIRECTIONS = ("previous", "next", "none", "shuffled")
 
@@ -163,18 +163,6 @@ def write_prepared(path: str, triples: list[tuple[str, str, str]]) -> None:
             if "\t" in ctx or "\t" in src or "\t" in tgt:
                 raise DataError("prepared fields must not contain tabs")
             fh.write(f"{ctx}\t{src}\t{tgt}\n")
-
-
-def numbered_lines(path: str, error: type[Exception]):
-    """Yield (line number, line) of a UTF-8 text file; a line holding bytes
-    that are not UTF-8 raises `error` naming path:line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise error(f"{path}:{lineno}: not valid UTF-8") from None
-            yield lineno, line
 
 
 def read_prepared(path: str) -> list[tuple[str, str, str]]:

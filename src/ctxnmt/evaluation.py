@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import numbered_lines
+from .vocab import numbered_lines
 
 MAX_ORDER = 4
 

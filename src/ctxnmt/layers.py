@@ -107,6 +107,7 @@ class MultiHeadAttention:
 
     Returns (output, weights) where weights are the per-head attention
     probabilities as a plain ndarray (B, h, Tq, Tk), detached for analysis.
+    `attend` reads the heads (B, h, T, d_head) of `query` and `project_kv`.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, n_heads: int):
@@ -122,22 +123,27 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.wv", d_model, d_model)
         self.wo = Linear(store, f"{name}.wo", d_model, d_model)
 
-    def _split(self, x: ad.Tensor, batch: int, length: int) -> ad.Tensor:
-        x = ad.reshape(x, (batch, length, self.n_heads, self.d_head))
-        return ad.transpose(x, (0, 2, 1, 3))
+    def _split(self, x: ad.Tensor) -> ad.Tensor:
+        return ad.transpose(ad.reshape(x, x.shape[:2] + (self.n_heads, self.d_head)), (0, 2, 1, 3))
 
-    def __call__(self, query_in: ad.Tensor, kv_in: ad.Tensor,
-                 mask: np.ndarray | None = None) -> tuple[ad.Tensor, np.ndarray]:
-        batch, t_q, d_model = query_in.shape
-        t_k = kv_in.shape[1]
-        q = self._split(self.wq(query_in), batch, t_q)
-        k = self._split(self.wk(kv_in), batch, t_k)
-        v = self._split(self.wv(kv_in), batch, t_k)
+    def query(self, query_in: ad.Tensor) -> ad.Tensor:
+        return self._split(self.wq(query_in))
+
+    def project_kv(self, kv_in: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+        return self._split(self.wk(kv_in)), self._split(self.wv(kv_in))
+
+    def attend(self, q: ad.Tensor, k, v, mask: np.ndarray | None = None
+               ) -> tuple[ad.Tensor, np.ndarray]:
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), self.scale)
         attn = ad.softmax(scores, mask=mask)
         ctx = ad.matmul(attn, v)
-        merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, t_q, d_model))
+        merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (q.shape[0], q.shape[2], -1))
         return self.wo(merged), attn.data
+
+    def __call__(self, query_in: ad.Tensor, kv_in: ad.Tensor,
+                 mask: np.ndarray | None = None) -> tuple[ad.Tensor, np.ndarray]:
+        q = self.query(query_in)  # before the keys: the backward pass sums in reverse op order
+        return self.attend(q, *self.project_kv(kv_in), mask)
 
 
 class FeedForward:
@@ -175,11 +181,19 @@ class DecoderLayer:
         self.ffn = FeedForward(store, f"{name}.ffn", d_model, d_ff)
         self.ln3 = LayerNorm(store, f"{name}.ln3", d_model)
 
-    def __call__(self, x: ad.Tensor, enc_hidden: ad.Tensor, self_mask: np.ndarray,
-                 cross_mask: np.ndarray | None, drop) -> ad.Tensor:
-        a, _ = self.self_attn(x, x, self_mask)
+    def __call__(self, x: ad.Tensor, enc_hidden: ad.Tensor | None, self_mask: np.ndarray,
+                 cross_mask: np.ndarray | None, drop, cache: list | None = None) -> ad.Tensor:
+        """With `cache`, this layer's [keys, values, cross keys, cross values], x is
+        only the newest position: its keys and values extend the first two, and
+        cross-attention reads the last two."""
+        q, (k, v) = self.self_attn.query(x), self.self_attn.project_kv(x)
+        if cache is not None:
+            k, v = cache[:2] = [np.concatenate([c, n.data], axis=2) for c, n in zip(cache, (k, v))]
+        a, _ = self.self_attn.attend(q, k, v, self_mask)
         s = self.ln1(ad.add(x, drop(a)))
-        c, _ = self.cross_attn(s, enc_hidden, cross_mask)
+        q = self.cross_attn.query(s)
+        k, v = self.cross_attn.project_kv(enc_hidden) if cache is None else cache[2:]
+        c, _ = self.cross_attn.attend(q, k, v, cross_mask)
         s2 = self.ln2(ad.add(s, drop(c)))
         return self.ln3(ad.add(s2, drop(self.ffn(s2))))
 

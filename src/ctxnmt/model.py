@@ -79,7 +79,7 @@ class ModelConfig:
 
 @dataclass
 class EncoderState:
-    """What ``encode`` returns; ``decode_step`` reads only ``hidden`` and ``mask``.
+    """What ``encode`` returns; the decoder attends over ``hidden`` under ``mask``.
 
     ``is_pad`` marks the pad positions of the encoded ids. Gated-context models
     also fill ``gates``, the fusion gate values (B, S, d_model), and, unless the
@@ -89,6 +89,20 @@ class EncoderState:
     is_pad: np.ndarray | None = None
     gates: np.ndarray | None = None
     ctx_attention: np.ndarray | None = None
+
+
+@dataclass
+class DecodeCache:
+    """What a cached ``decode_step`` reads and extends, one row per prefix: each
+    decoder layer's [keys, values, cross keys, cross values] (rows, heads, length,
+    d_head), the encoder's key mask, and which fed tokens are PAD."""
+    layers: list[list[np.ndarray]]
+    cross_mask: np.ndarray
+    is_pad: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "DecodeCache":
+        return DecodeCache([[a[rows] for a in kv] for kv in self.layers],
+                           self.cross_mask[rows], self.is_pad[rows])
 
 
 @dataclass
@@ -146,14 +160,15 @@ class Transformer:
         rate = self.config.dropout
         return lambda t: ad.dropout(t, rate, rng, train=True)
 
-    def _embed(self, table: ad.Tensor, ids: np.ndarray, flags: np.ndarray | None = None) -> ad.Tensor:
-        length = ids.shape[1]
-        if length > self.config.max_len:
-            raise ModelError(f"sequence length {length} exceeds max_len {self.config.max_len}")
+    def _embed(self, table: ad.Tensor, ids: np.ndarray, flags: np.ndarray | None = None,
+               start: int = 0) -> ad.Tensor:
+        end = start + ids.shape[1]
+        if end > self.config.max_len:
+            raise ModelError(f"sequence length {end} exceeds max_len {self.config.max_len}")
         x = ad.scale(ad.embedding(table, ids), float(np.sqrt(self.config.d_model)))
         if flags is not None:
             x = ad.add(x, ad.embedding(self.seg_embed, flags))
-        return ad.add(x, self._pe[None, :length, :])
+        return ad.add(x, self._pe[None, start:end, :])
 
     # -- encoding ----------------------------------------------------------
 
@@ -237,12 +252,18 @@ class Transformer:
 
     # -- decoding ----------------------------------------------------------
 
-    def _decode_logits(self, enc: EncoderState, tgt_in: np.ndarray, drop) -> ad.Tensor:
-        length = tgt_in.shape[1]
-        self_mask = ly.causal_mask(length, self.dtype) + ly.padding_mask(tgt_in == PAD, self.dtype)
-        y = drop(self._embed(self.tgt_embed, tgt_in))
-        for layer in self.dec_layers:
-            y = layer(y, enc.hidden, self_mask, enc.mask, drop)
+    def _decode_logits(self, enc: EncoderState, tgt_in: np.ndarray, drop,
+                       cache: DecodeCache | None = None) -> ad.Tensor:
+        """Logits at every position of tgt_in, or with a cache at its one new position."""
+        start, is_pad = (0 if cache is None else cache.is_pad.shape[1]), tgt_in == PAD
+        if cache is not None:
+            is_pad = cache.is_pad = np.concatenate([cache.is_pad, is_pad], axis=1)
+        self_mask = (ly.causal_mask(is_pad.shape[1], self.dtype)[:, :, start:]
+                     + ly.padding_mask(is_pad, self.dtype))
+        hidden, cross_mask = (enc.hidden, enc.mask) if cache is None else (None, cache.cross_mask)
+        y = drop(self._embed(self.tgt_embed, tgt_in, start=start))
+        for i, layer in enumerate(self.dec_layers):
+            y = layer(y, hidden, self_mask, cross_mask, drop, cache and cache.layers[i])
         return self.out_proj(y)
 
     def loss(self, src_ids: np.ndarray, tgt_ids: np.ndarray,
@@ -257,16 +278,29 @@ class Transformer:
         return ad.cross_entropy(logits, tgt_out, token_mask=(tgt_out != PAD),
                                 label_smoothing=self.config.label_smoothing)
 
-    def decode_step(self, prefix: np.ndarray, enc: EncoderState) -> np.ndarray:
-        """Next-token probabilities (B, tgt_vocab) for each prefix row."""
+    def new_cache(self, enc: EncoderState) -> DecodeCache:
+        """An empty DecodeCache of the rows of `enc`, cross-attention projected."""
+        rows, c = enc.mask.shape[0], self.config
+        empty = np.zeros((rows, c.n_heads, 0, c.d_model // c.n_heads), self.dtype)
+        return DecodeCache([[empty, empty] + [a.data for a in dec.cross_attn.project_kv(enc.hidden)]
+                            for dec in self.dec_layers], enc.mask, np.zeros((rows, 0), bool))
+
+    def decode_step(self, prefix: np.ndarray, enc: EncoderState,
+                    cache: DecodeCache | None = None) -> np.ndarray:
+        """Next-token probabilities (B, tgt_vocab) for each prefix row.
+
+        Without a cache the decoder runs over the whole prefix. A cache (from
+        `new_cache`) holding the first t - 1 of t positions of the same rows
+        feeds only the last token, at t - 1, and grows by it; `enc` is unread."""
         prefix = np.asarray(prefix)
         if prefix.ndim != 2 or prefix.shape[1] == 0:
             raise ModelError(f"prefix must be 2-d and nonempty, got shape {prefix.shape}")
         if (prefix[:, 0] != TBOS).any():
             raise ModelError("prefix must start with the target begin token")
-        if prefix.shape[1] > self.config.max_len:
-            raise ModelError(f"prefix length {prefix.shape[1]} exceeds max_len {self.config.max_len}")
-        logits = self._decode_logits(enc, prefix, _no_drop)
+        if cache is not None and cache.is_pad.shape != (prefix.shape[0], prefix.shape[1] - 1):
+            raise ModelError(f"a cache of (rows, positions) {cache.is_pad.shape} cannot "
+                             f"precede a prefix of shape {prefix.shape}")
+        logits = self._decode_logits(enc, prefix[:, -1:] if cache else prefix, _no_drop, cache)
         return ad.softmax(ad.Tensor(logits.data[:, -1, :])).data
 
     def _search(self, enc: EncoderState, width: int, max_out: int) -> list[TranslationResult]:
@@ -276,10 +310,9 @@ class Transformer:
         and keeps the top `width` of their extensions, ties to the lower flat
         index; those ending in TEOS are finished. It stops with no live slot or
         `width` finished, keeping live slots as truncated. Scores are GNMT
-        length-normalized log-probabilities, added in float64."""
+        length-normalized log-probabilities, added in float64; steps use a DecodeCache."""
         sent = np.arange(enc.hidden.shape[0])  # batch row of each sentence still searching
-        rows = np.repeat(sent, width)
-        hidden, mask = enc.hidden.data[rows], enc.mask[rows]
+        cache = self.new_cache(enc).take(np.repeat(sent, width))
         prefix = np.full((sent.size, width, 1), TBOS, dtype=np.int64)
         logp = np.full((sent.size, width), -np.inf)
         logp[:, 0] = 0.0
@@ -298,11 +331,10 @@ class Transformer:
                 keep(stop[:, None] & (logp > -np.inf), truncated=True)
                 go = ~stop
                 sent, logp, prefix, n_finished = sent[go], logp[go], prefix[go], n_finished[go]
-                hidden, mask = (a[np.repeat(go, width)] for a in (hidden, mask))
+                cache = cache.take(np.repeat(go, width))
                 if not sent.size:
                     break
-            probs = self.decode_step(prefix.reshape(sent.size * width, -1),
-                                     EncoderState(ad.Tensor(hidden), mask))
+            probs = self.decode_step(prefix.reshape(sent.size * width, -1), enc, cache)
             cand = (logp[:, :, None] + np.log(probs + 1e-30).reshape(sent.size, width, -1)
                     ).reshape(sent.size, -1)
             top = np.empty((sent.size, width), dtype=np.int64)
@@ -313,6 +345,8 @@ class Transformer:
                 cand[rank, best] = -np.inf
             slot, tok = np.divmod(top, probs.shape[1])
             prefix = np.concatenate([prefix[rank[:, None], slot], tok[:, :, None]], axis=2)
+            if width > 1:  # at width 1 the reorder is the identity
+                cache = cache.take((rank[:, None] * width + slot).ravel())
             ends = (tok == TEOS) & (logp > -np.inf)
             if ends.any():
                 keep(ends, truncated=False)

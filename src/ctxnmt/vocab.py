@@ -18,6 +18,18 @@ class VocabError(ValueError):
     pass
 
 
+def numbered_lines(path: str, error: type[Exception]):
+    """Yield (line number, line) of a UTF-8 text file; a line holding bytes
+    that are not UTF-8 raises `error` naming path:line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(f"{path}:{lineno}: not valid UTF-8") from None
+            yield lineno, line
+
+
 class Vocab:
     def __init__(self, symbols: list[str]):
         if tuple(symbols[: len(SPECIALS)]) != SPECIALS:
@@ -58,5 +70,4 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([ln for ln in lines if ln != ""])
+        return cls([ln.rstrip("\n") for _, ln in numbered_lines(path, VocabError) if ln != "\n"])

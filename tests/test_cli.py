@@ -90,6 +90,16 @@ def test_bleu_identity_prints_100(tmp_path, capsys):
     assert out.splitlines()[0] == "100.00"
 
 
+def test_bleu_non_utf8_hypothesis_is_a_validation_error(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    hyp.write_bytes(b"the cat\nsat \xff\n")
+    ref.write_text("the cat\nsat on\n")
+    code, _, err = run(capsys, "bleu", "--hyp", str(hyp), "--ref", str(ref))
+    assert code == 2
+    assert f"{hyp}:2: not valid UTF-8" in err
+
+
 def test_compare_identical_systems_exits_1(tmp_path, capsys):
     text = "\n".join("a b c d e" for _ in range(30)) + "\n"
     for name in ("a.txt", "b.txt", "r.txt"):
@@ -198,6 +208,15 @@ def test_config_file_bad_syntax_rejected(tmp_path, capsys):
                        "--config", str(cfg))
     assert code == 2
     assert "key=value" in err
+
+
+def test_config_file_non_utf8_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"train_size=40\n# caf\xe9\n")
+    code, _, err = run(capsys, "gen-synthetic", "--out-dir", str(tmp_path / "x"),
+                       "--config", str(cfg))
+    assert code == 2
+    assert f"{cfg}:2: not valid UTF-8" in err
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +344,19 @@ def test_translate_non_utf8_data_is_a_validation_error(env, tmp_path, capsys):
                        "--output", str(tmp_path / "hyp.txt"))
     assert code == 2
     assert f"{bad}:2: not valid UTF-8" in err
+
+
+def test_translate_non_utf8_vocab_is_a_validation_error(env, tmp_path, capsys):
+    bad = tmp_path / "tgt.vocab"
+    bad.write_bytes((env["data"] / "tgt.vocab").read_bytes() + b"\xff\n")
+    code, _, err = run(capsys, "translate", "--model", str(env["run"] / "best.ckpt"),
+                       "--data", str(env["data"] / "test.tsv"),
+                       "--src-vocab", str(env["data"] / "src.vocab"),
+                       "--tgt-vocab", str(bad),
+                       "--output", str(tmp_path / "hyp.txt"))
+    assert code == 2
+    assert "not valid UTF-8" in err and "Traceback" not in err
+    assert not (tmp_path / "hyp.txt").exists()
 
 
 def test_train_reports_context_only_truncation(env, tmp_path, capsys):

@@ -54,6 +54,16 @@ def test_bpe_model_save_load_roundtrip(tmp_path):
     assert bpe.BpeModel.load(path).merges == model.merges
 
 
+def test_bpe_model_load_names_bad_line(tmp_path):
+    path = tmp_path / "merges.txt"
+    path.write_bytes(b"l o\nlo w\xff\n")
+    with pytest.raises(bpe.BpeError, match=f"{path}:2: not valid UTF-8"):
+        bpe.BpeModel.load(str(path))
+    path.write_bytes(b"l o\nlow\n")
+    with pytest.raises(bpe.BpeError, match=f"{path}:2: bad merge line"):
+        bpe.BpeModel.load(str(path))
+
+
 @given(st.lists(st.text(alphabet="abcdef", min_size=1, max_size=8), min_size=1, max_size=6),
        st.integers(min_value=0, max_value=12))
 def test_detokenize_inverts_apply(words, n_merges):
@@ -310,6 +320,14 @@ def test_vocab_roundtrip(tmp_path):
     loaded = Vocab.load(path)
     assert loaded.symbols == v.symbols
     assert loaded.id_of("a") == v.id_of("a")
+
+
+def test_vocab_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "vocab.txt"
+    Vocab.from_symbols(["a"]).save(str(path))
+    path.write_bytes(path.read_bytes() + b"b\xff\n")
+    with pytest.raises(VocabError, match=f"{path}:8: not valid UTF-8"):
+        Vocab.load(str(path))
 
 
 def test_vocab_unknowns_map_to_unk():

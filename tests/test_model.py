@@ -16,8 +16,8 @@ def small_config(**overrides):
     return ModelConfig(**base)
 
 
-def small_model(seed=0, **overrides):
-    return Transformer(small_config(**overrides), np.random.default_rng(seed))
+def small_model(seed=0, dtype=np.float32, **overrides):
+    return Transformer(small_config(**overrides), np.random.default_rng(seed), dtype=dtype)
 
 
 def test_config_rejects_indivisible_width():
@@ -206,9 +206,11 @@ def test_batched_search_matches_reference_beam(seed, mode, tgt_vocab, eos_bias, 
     """translate's ids, scores and truncation flags equal the per-sentence
     reference, for widths up to one past the target vocabulary, on padded
     batches whose rows finish at different steps (a TEOS bias of 1.5 ends
-    many early, -1e4 none). Zeroed output weights make every step a tie."""
+    many early, -1e4 none). Zeroed output weights make every step a tie.
+    The model is float64: the search's cached steps and the reference's
+    full-prefix steps round differently, by about 1e-7 in float32."""
     width = 1 + extra_width % (tgt_vocab + 1)
-    model = small_model(seed, tgt_vocab=tgt_vocab, n_layers=1 + seed % 2,
+    model = small_model(seed, np.float64, tgt_vocab=tgt_vocab, n_layers=1 + seed % 2,
                         context_mode=mode, dropout=0.0)
     if eos_bias is not None:
         model.out_proj.b.data[TEOS] = eos_bias
@@ -232,6 +234,79 @@ def test_batched_search_matches_reference_beam(seed, mode, tgt_vocab, eos_bias, 
         for got, (ids, score, truncated) in ((g, ref_g), (b, ref_b)):
             assert got.ids == ids and got.truncated == truncated
             assert got.score == pytest.approx(score, abs=1e-9)
+
+
+def _padded_batch(mode):
+    src = np.array([[6, 7, 8, 9], [10, 11, PAD, PAD], [7, PAD, PAD, PAD]])
+    ctx = np.array([[BOS, 6, EOS, PAD], [BOS, 7, 8, EOS], [BOS, EOS, PAD, PAD]])
+    return src, None if mode == "none" else ctx
+
+
+def _rows(enc, index):
+    return EncoderState(ad.Tensor(enc.hidden.data[index]), enc.mask[index])
+
+
+@pytest.mark.parametrize("mode", ["none", "gated-context", "concat"])
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+def test_cached_step_matches_full_prefix(mode, dtype, tol):
+    """A cached decode_step gives the full-prefix probabilities on a padded
+    source batch, with PAD among the fed tokens, while the rows of each
+    sentence are reordered as beam slots are and sentences retire."""
+    width, vocab = 3, 11
+    model = small_model(11, dtype, context_mode=mode, dropout=0.0)
+    src, ctx = _padded_batch(mode)
+    enc = model.encode(src, ctx)
+    rng = np.random.default_rng(0)
+    sent = np.repeat(np.arange(len(src)), width)  # sentence of each row
+    prefix = np.full((sent.size, 1), TBOS, dtype=np.int64)
+    cache = model.new_cache(enc).take(sent)
+    for step in range(10):
+        cached = model.decode_step(prefix, enc, cache)
+        np.testing.assert_allclose(cached, model.decode_step(prefix, _rows(enc, sent)),
+                                   rtol=0, atol=tol)
+        if step in (3, 6):  # the first sentence still searching retires
+            keep = sent != sent[0]
+            sent, prefix, cache = sent[keep], prefix[keep], cache.take(keep)
+        order = np.arange(sent.size) // width * width + rng.integers(0, width, sent.size)
+        tok = np.where(rng.random(sent.size) < 0.3, PAD, rng.integers(0, vocab, sent.size))
+        prefix = np.concatenate([prefix[order], tok[:, None]], axis=1)
+        cache = cache.take(order)
+    assert (prefix == PAD).any() and sent.size == width
+
+
+def test_cached_step_rejects_mismatched_cache():
+    model = small_model(12)
+    enc = model.encode(np.array([[6, 7], [8, 9]]))
+    cache = model.new_cache(enc)
+    with pytest.raises(ModelError, match=r"\(rows, positions\) \(2, 0\)"):
+        model.decode_step(np.array([[TBOS]]), enc, cache)
+    with pytest.raises(ModelError, match=r"prefix of shape \(2, 2\)"):
+        model.decode_step(np.array([[TBOS, 6], [TBOS, 7]]), enc, cache)
+    prefix = np.full((2, 1), TBOS)  # the rejected calls left the cache as it was
+    np.testing.assert_allclose(model.decode_step(prefix, enc, cache),
+                               model.decode_step(prefix, enc), rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("mode", ["none", "gated-context", "concat"])
+def test_cached_search_scores_match_full_prefix_refeed(mode):
+    """In float32, greedy and width-3 results score what their ids score fed
+    back through full-prefix steps, within 1e-5, on a padded batch whose
+    search emits PAD (a PAD bias of +3) and whose sentences end at different
+    steps."""
+    model = small_model(13, context_mode=mode, dropout=0.0)
+    model.out_proj.b.data[PAD] = 3.0
+    model.out_proj.b.data[TEOS] = 2.5
+    src, ctx = _padded_batch(mode)
+    enc = model.encode(src, ctx)
+    results = model._search(enc, 1, 8) + model._search(enc, 3, 8)
+    assert any(PAD in r.ids for r in results)
+    assert len({len(r.ids) for r in results}) > 1
+    for i, r in enumerate(results):
+        ids = [TBOS] + r.ids
+        logp = sum(np.log(model.decode_step(np.array([ids[:t + 1]]), _rows(enc, [i % len(src)]))
+                          [0, ids[t + 1]] + 1e-30) for t in range(len(r.ids)))
+        norm = ((5.0 + max(len(r.ids), 1)) / 6.0) ** model.config.length_penalty
+        assert r.score == pytest.approx(logp / norm, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
