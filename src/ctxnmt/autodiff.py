@@ -3,7 +3,9 @@
 Ops execute eagerly on numpy arrays. While a Tape is active (``with Tape()
 as tape:``), every op whose inputs require gradients records a backward rule;
 ``tape.backward(loss)`` replays the rules in reverse and accumulates into
-``Tensor.grad``. With no active tape, ops are plain numpy (inference mode).
+``Tensor.grad``, freeing each record as it goes, so only leaf gradients survive
+it and a tape runs backward once. With no active tape, ops are plain numpy
+(inference mode).
 
 A tape is single-writer: concurrent forward passes need separate tapes (the
 active tape is tracked per thread). Tensors without gradients are immutable
@@ -102,8 +104,7 @@ class Tape:
     """Ordered op records; replaying them in reverse computes exact gradients."""
 
     def __init__(self):
-        self._outputs: list[Tensor] = []
-        self._backwards: list = []
+        self._records: list[tuple[Tensor, object]] = []
         self._consumed = False
 
     def __enter__(self):
@@ -117,23 +118,26 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._outputs)
+        return len(self._records)
 
     def record(self, out: Tensor, backward) -> None:
-        self._outputs.append(out)
-        self._backwards.append(backward)
+        self._records.append((out, backward))
 
     def backward(self, loss: Tensor) -> None:
-        """Fill .grad for every requires_grad tensor reachable from loss."""
+        """Fill .grad for every leaf reachable from loss, consuming the tape:
+        each record is popped as it is replayed and its output's .grad dropped
+        once its rule has run, so only leaf (parameter, input) gradients survive."""
         if self._consumed:
             raise TapeError("backward already ran on this tape; rebuild the forward pass first")
         if loss.data.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        for out, fn in zip(reversed(self._outputs), reversed(self._backwards)):
+        while self._records:
+            out, fn = self._records.pop()
             if out.grad is not None:
                 fn(out.grad)
+                out.grad = None
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:

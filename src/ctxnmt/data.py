@@ -57,7 +57,8 @@ class Example:
 
 
 def ingest(lines, max_malformed_fraction: float = 0.10) -> tuple[list[RawPair], int]:
-    """Parse raw records; malformed lines are skipped and counted."""
+    """Parse raw records; malformed lines, bytes that are not UTF-8 among them,
+    are skipped and counted."""
     pairs = []
     skipped = 0
     total = 0
@@ -66,6 +67,11 @@ def ingest(lines, max_malformed_fraction: float = 0.10) -> tuple[list[RawPair], 
         if not line:
             continue
         total += 1
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            skipped += 1
+            continue
         fields = line.split("\t")
         if len(fields) != 6:
             skipped += 1
@@ -89,7 +95,8 @@ def ingest(lines, max_malformed_fraction: float = 0.10) -> tuple[list[RawPair], 
 
 def ingest_file(path: str, max_malformed_fraction: float = 0.10) -> tuple[list[RawPair], int]:
     try:
-        fh = open(path, encoding="utf-8")
+        # bytes that are not UTF-8 decode to lone surrogates: ingest skips those lines
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:

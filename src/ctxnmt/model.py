@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -406,11 +407,22 @@ def save_checkpoint(model: Transformer, path: str) -> None:
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    # write beside the target and rename over it, so that a crash mid-write
+    # leaves the previous checkpoint whole
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> Transformer:

@@ -158,6 +158,27 @@ def test_backward_twice_raises():
         tape.backward(y)
 
 
+def test_backward_consumes_tape_and_keeps_only_leaf_grads():
+    x = ad.Tensor(np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]]), requires_grad=True)
+    w = ad.Tensor(np.array([[0.5, 1.0], [-1.0, 2.0], [0.25, -0.5]]), requires_grad=True)
+    with ad.Tape() as tape:
+        h = ad.matmul(x, w)
+        z = ad.mul(h, h)
+        loss = ad.add(ad.reduce_sum(z), ad.reduce_sum(h))
+    n_records = len(tape)
+    with pytest.raises(ad.TapeError):
+        tape.backward(z)  # not scalar: raises before anything is consumed
+    assert len(tape) == n_records > 0 and x.grad is None and w.grad is None
+    tape.backward(loss)
+    assert len(tape) == 0
+    assert h.grad is None and z.grad is None and loss.grad is None
+    dh = 2.0 * h.data + 1.0
+    np.testing.assert_allclose(x.grad, dh @ w.data.T)
+    np.testing.assert_allclose(w.grad, x.data.T @ dh)
+    with pytest.raises(ad.TapeError):
+        tape.backward(loss)
+
+
 def test_nonscalar_loss_raises():
     x = ad.Tensor(np.ones(3), requires_grad=True)
     with ad.Tape() as tape:

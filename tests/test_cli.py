@@ -219,6 +219,41 @@ def test_config_file_non_utf8_rejected(tmp_path, capsys):
     assert f"{cfg}:2: not valid UTF-8" in err
 
 
+def _raw_corpus(path, n_good, bad_at):
+    """n_good valid raw records, with a record holding the byte 0xff before
+    each index in bad_at."""
+    words = ["the", "cat", "sat", "mat", "dog", "ran", "far", "now"]
+    lines = []
+    for i in range(n_good):
+        if i in bad_at:
+            lines.append(b"m0\t0.0\t1.0\t0.95\tthe \xff cat\tthe cat\n")
+        src = " ".join(words[(i + j) % 8] for j in range(4))
+        tgt = " ".join(words[(i + j + 1) % 8] for j in range(4))
+        lines.append(f"m{i % 3}\t{i * 2.0}\t{i * 2.0 + 1.5}\t0.95\t{src}\t{tgt}\n"
+                     .encode("utf-8"))
+    path.write_bytes(b"".join(lines))
+
+
+def test_prepare_skips_non_utf8_line_within_tolerance(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    _raw_corpus(raw, 20, bad_at={7})
+    code, out, err = run(capsys, "prepare", "--input", str(raw),
+                         "--out-dir", str(tmp_path / "prep"), "--bpe-merges", "10")
+    assert code == 0, err
+    assert "read 20 pairs (1 malformed lines skipped)" in out
+    assert len((tmp_path / "prep" / "prepared.tsv").read_text().splitlines()) == 20
+
+
+def test_prepare_non_utf8_lines_over_tolerance_is_a_validation_error(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    _raw_corpus(raw, 8, bad_at={2, 5})
+    code, _, err = run(capsys, "prepare", "--input", str(raw),
+                       "--out-dir", str(tmp_path / "prep"), "--bpe-merges", "10")
+    assert code == 2
+    assert "2 of 10 lines malformed" in err and "Traceback" not in err
+    assert not (tmp_path / "prep").exists()
+
+
 # ---------------------------------------------------------------------------
 # train / translate round trip
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctxnmt.autodiff as ad
+import ctxnmt.model as model_module
 from ctxnmt.model import (CheckpointError, EncoderState, ModelConfig, ModelError,
                           Transformer, load_checkpoint, save_checkpoint)
 from ctxnmt.vocab import BOS, EOS, PAD, TBOS, TEOS
@@ -119,6 +123,57 @@ def test_loss_is_finite_scalar_and_differentiable():
     tape.backward(loss)
     assert model.store["src_embed"].grad is not None
     assert np.abs(model.store["src_embed"].grad).sum() > 0
+
+
+def _step_batch(mode):
+    """B = 8 rows, S = C = T = 20 columns, some of them padded."""
+    rng = np.random.default_rng(3)
+    src, tgt, ctx = (rng.integers(6, 11, (8, 20)) for _ in range(3))
+    src[:3, 15:] = tgt[:2, 12:] = PAD
+    return src, tgt, (None if mode == "none" else ctx)
+
+
+@pytest.mark.parametrize("mode", ["none", "gated-context", "concat"])
+def test_backward_empties_tape_and_keeps_parameter_grads(mode):
+    model = small_model(11, context_mode=mode, max_len=64)
+    src, tgt, ctx = _step_batch(mode)
+    with ad.Tape() as tape:
+        loss = model.loss(src, tgt, ctx_ids=ctx, train=True, rng=np.random.default_rng(0))
+    outputs = [out for out, _ in tape._records]
+    tape.backward(loss)
+    assert len(tape) == 0 and outputs
+    assert all(out.grad is None for out in outputs)
+    grads = [p.grad for p in model.store.tensors() if p.grad is not None]
+    assert grads and all(np.isfinite(g).all() for g in grads)
+    with pytest.raises(ad.TapeError):
+        tape.backward(loss)
+
+
+@pytest.mark.parametrize("mode", ["none", "gated-context", "concat"])
+def test_training_step_peaks_near_its_forward_pass(mode):
+    """Backward frees activations as it goes, so it adds little to the peak
+    that the forward pass set (about 2x when the tape was kept whole)."""
+    model = small_model(12, context_mode=mode, max_len=64)
+    src, tgt, ctx = _step_batch(mode)
+
+    def forward():
+        with ad.Tape() as tape:
+            loss = model.loss(src, tgt, ctx_ids=ctx, train=True, rng=np.random.default_rng(0))
+        return tape, loss
+
+    tape, loss = forward()  # warm-up: lazily built tables are not part of a step
+    tape.backward(loss)
+    model.store.clear_grads()
+    del tape, loss
+    tracemalloc.start()
+    try:
+        tape, loss = forward()
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tape.backward(loss)
+        step_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step_peak <= 1.25 * forward_peak
 
 
 def test_greedy_equals_beam_width_one():
@@ -341,6 +396,43 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     open(path, "wb").write(b"definitely not a checkpoint")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_write_failing_midway_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "last.ckpt"
+    save_checkpoint(small_model(13), str(path))
+    before = path.read_bytes()
+
+    class TornFile:
+        """Writes half of the payload (the fourth write), then fails."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+            return False
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 4:
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(model_module, "open", lambda *a, **k: TornFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(small_model(14), str(path))
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["last.ckpt"]
+    assert path.read_bytes() == before
+    loaded = load_checkpoint(str(path))
+    np.testing.assert_array_equal(loaded.store["src_embed"].data,
+                                  small_model(13).store["src_embed"].data)
 
 
 def test_loaded_model_translates_identically(tmp_path):
