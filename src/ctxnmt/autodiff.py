@@ -19,7 +19,6 @@ import threading
 import numpy as np
 
 LAYER_NORM_EPS = 1e-6
-MASK_SENTINEL = -1e9
 
 _tls = threading.local()
 
@@ -262,17 +261,15 @@ def sigmoid(x) -> Tensor:
 
 
 def softmax(x, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis; mask entries are 0 or the -1e9 sentinel."""
+    """Softmax over the last axis; a True mask entry blocks that position."""
     x = _as_tensor(x)
     z = x.data
     if mask is not None:
-        mask = np.asarray(mask)
         try:
-            z = z + mask
+            z = np.where(mask, -np.inf, z)
         except ValueError:
             raise ShapeError("softmax", x.shape, mask.shape) from None
-        blocked = np.broadcast_to(mask, z.shape) <= MASK_SENTINEL / 2
-        if blocked.all(axis=-1).any():
+        if mask.all(axis=-1).any():
             raise MaskError("softmax: at least one row is fully masked")
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)

@@ -89,42 +89,30 @@ def read_config_entries(path: str) -> list[tuple[str, str]]:
     return entries
 
 
-def _coerce(action: argparse.Action, key: str, value: str):
-    if action.nargs == 0:  # store_true style flags
-        lowered = value.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise CliError(f"config key {key!r}: expected a boolean, got {value!r}")
-    try:
-        converted = (action.type or str)(value)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"config key {key!r}: {exc}") from exc
-    if action.choices is not None and converted not in action.choices:
-        raise CliError(f"config key {key!r}: {converted!r} is not one of "
-                       f"{sorted(map(str, action.choices))}")
-    return converted
-
-
-def apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                      argv: list[str]) -> None:
-    """Fill args from the key=value file; flags given on the command line win."""
-    explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-    actions = {}
-    for action in parser._actions:
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                actions[opt] = action
-    for key, value in read_config_entries(args.config):
+def config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The key=value entries of `path` as flags of `parser`'s command: each
+    becomes --key=value, a true boolean a bare flag (a false one nothing) and a
+    list flag its whitespace-separated values, for argparse to check."""
+    actions = {opt: action for action in parser._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    flags = []
+    for key, value in read_config_entries(path):
         flag = "--" + key.replace("_", "-")
         action = actions.get(flag)
-        if action is None or flag == "--config":
+        if action is None or flag in ("--config", "--help"):
             raise CliError(f"config key {key!r} does not match any flag of "
                            f"this command")
-        if flag in explicit:
-            continue
-        setattr(args, action.dest, _coerce(action, key, value))
+        if action.nargs == 0:  # store_true style flags
+            lowered = value.lower()
+            if lowered in ("1", "true", "yes", "on"):
+                flags.append(flag)
+            elif lowered not in ("0", "false", "no", "off"):
+                raise CliError(f"config key {key!r}: expected a boolean, got {value!r}")
+        elif action.nargs == "+":
+            flags += [flag, *value.split()]
+        else:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +562,7 @@ def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE",
                    help="key=value file mirroring this command's flags; "
                         "explicit flags win")
+    PARSERS[p.prog.split(" ", 1)[1]] = p  # by command words: prog is "ctxnmt <words>"
 
 
 def _add_seed_flag(p: argparse.ArgumentParser, default: int = 0) -> None:
@@ -603,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("prepare", help="ingest a raw corpus into a prepared dataset")
-    PARSERS["prepare"] = p
     p.add_argument("--input", required=True, help="raw tab-separated corpus file")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--direction", choices=("prev", "next", "none", "shuffled"),
@@ -619,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic",
                        help="generate the synthetic anaphora dataset")
-    PARSERS["gen-synthetic"] = p
     p.add_argument("--out-dir", required=True)
     p.add_argument("--train-size", type=int, default=20000)
     p.add_argument("--test-size", type=int, default=2000)
@@ -630,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("train", help="train a model on a prepared dataset")
-    PARSERS["train"] = p
     p.add_argument("--data", required=True, help="prepared training set")
     p.add_argument("--dev", help="prepared dev set for best-checkpoint selection")
     p.add_argument("--out-dir", required=True)
@@ -659,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("translate", help="decode a prepared dataset with a checkpoint")
-    PARSERS["translate"] = p
     _add_model_io_flags(p)
     p.add_argument("--output", required=True, help="hypothesis file, one line per example")
     p.add_argument("--refs-out",
@@ -672,7 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("bleu", help="corpus BLEU of a hypothesis file against a reference")
-    PARSERS["bleu"] = p
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     _add_config_flag(p)
@@ -681,7 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare",
                        help="paired bootstrap significance of candidate over baseline; "
                             "exit 0 when significant, 1 when not")
-    PARSERS["compare"] = p
     p.add_argument("--baseline", required=True)
     p.add_argument("--candidate", required=True)
     p.add_argument("--ref", required=True)
@@ -693,7 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-attention",
                        help="write per-example context attention records")
-    PARSERS["dump-attention"] = p
     _add_model_io_flags(p)
     p.add_argument("--output", required=True, help="records file (one JSON per line)")
     _add_seed_flag(p)
@@ -702,7 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-testset",
                        help="filter a dataset to pronoun examples and split by gender")
-    PARSERS["build-testset"] = p
     p.add_argument("--data", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--out-dir", required=True)
@@ -714,8 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_testset)
 
     p = sub.add_parser("grad-check", help="finite-difference audit of the gradients")
-    PARSERS["grad-check"] = p
-    p.add_argument("--checks", nargs="*", choices=sorted(gradcheck.CHECKS),
+    p.add_argument("--checks", nargs="+", choices=sorted(gradcheck.CHECKS),
                    default=None, metavar="CHECK",
                    help=f"subset of {', '.join(sorted(gradcheck.CHECKS))} (default all)")
     p.add_argument("--seeds", type=int, default=gradcheck.DEFAULT_SEEDS)
@@ -727,13 +707,11 @@ def build_parser() -> argparse.ArgumentParser:
     suba = p.add_subparsers(dest="what", metavar="what", required=True)
 
     q = suba.add_parser("useful-mass", help="mean attention mass on content words")
-    PARSERS["analyze useful-mass"] = q
     q.add_argument("--records", required=True)
     _add_config_flag(q)
     q.set_defaults(func=cmd_analyze_useful_mass)
 
     q = suba.add_parser("top-words", help="source words ranked by context attention")
-    PARSERS["analyze top-words"] = q
     q.add_argument("--records", required=True)
     q.add_argument("--min-count", type=int, default=10)
     q.add_argument("--k", type=int, default=10)
@@ -743,7 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_analyze_top_words)
 
     q = suba.add_parser("curves", help="attention mass and BLEU curves as CSV series")
-    PARSERS["analyze curves"] = q
     q.add_argument("--records", required=True)
     q.add_argument("--out-dir", required=True)
     q.add_argument("--bleu-hyp", help="hypothesis file for the BLEU-by-length series")
@@ -755,7 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = suba.add_parser("agreement",
                         help="antecedent agreement of attention vs heuristics")
-    PARSERS["analyze agreement"] = q
     q.add_argument("--records", required=True)
     q.add_argument("--annotations", required=True)
     q.add_argument("--min-nouns", type=int, default=0)
@@ -765,7 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = suba.add_parser("confusion",
                         help="2x2 right/wrong table of attention vs one heuristic")
-    PARSERS["analyze confusion"] = q
     q.add_argument("--records", required=True)
     q.add_argument("--annotations", required=True)
     q.add_argument("--heuristic", choices=("first", "last", "random"), default="last")
@@ -775,7 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_analyze_confusion)
 
     q = suba.add_parser("heatmap", help="render one record as an SVG heatmap")
-    PARSERS["analyze heatmap"] = q
     q.add_argument("--records", required=True)
     q.add_argument("--example-id", default=None,
                    help="record to render (default: the first)")
@@ -791,14 +765,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's flags go before the user's, so that the user's win
+            words = 2 if getattr(args, "what", None) else 1
+            flags = config_flags(PARSERS[" ".join(argv[:words])], args.config)
+            args = parser.parse_args(argv[:words] + flags + argv[words:])
+        return args.func(args)
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
-    try:
-        if getattr(args, "config", None):
-            command = args.command + (f" {args.what}" if getattr(args, "what", None)
-                                      else "")
-            apply_config_file(args, PARSERS[command], argv)
-        return args.func(args)
     except trainer.NonFiniteError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

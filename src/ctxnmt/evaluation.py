@@ -2,8 +2,11 @@
 
 Corpus BLEU-4 without smoothing: the geometric mean of modified n-gram
 precisions times the brevity penalty, so any zero precision zeroes the score.
-Significance between systems comes from paired bootstrap resampling over
-per-sentence sufficient statistics.
+An order with no hypothesis n-grams (every sentence shorter than n) carries no
+evidence: it leaves the geometric mean and is reported as a vacuous 1.0, so
+identical corpora score 100 at any sentence length. Significance between
+systems comes from paired bootstrap resampling over per-sentence sufficient
+statistics.
 """
 
 from __future__ import annotations
@@ -48,25 +51,29 @@ def sentence_stats(hyp: list[str], ref: list[str]) -> np.ndarray:
     return stats
 
 
-def bleu_from_stats(stats: np.ndarray) -> BleuReport:
-    """Corpus BLEU-4 without smoothing: any zero precision zeroes the score.
+def _bleu_rows(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corpus BLEU-4 of each row of summed statistics (k, 10), by the rules
+    above: (bleu (k,), precisions (k, 4), brevity penalty (k,)). An empty
+    hypothesis scores 0 with a brevity penalty of 0."""
+    matches = stats[:, :MAX_ORDER].astype(np.float64)
+    totals = stats[:, MAX_ORDER:2 * MAX_ORDER].astype(np.float64)
+    hyp_len = stats[:, -2].astype(np.float64)
+    ref_len = stats[:, -1].astype(np.float64)
+    defined = totals > 0
+    prec = np.where(defined, matches / np.maximum(totals, 1), 1.0)
+    logp = np.where(defined, np.log(np.maximum(prec, 1e-300)), 0.0)
+    bp = np.where(hyp_len > 0,
+                  np.exp(np.minimum(0.0, 1.0 - ref_len / np.maximum(hyp_len, 1))), 0.0)
+    score = 100.0 * bp * np.exp(logp.sum(axis=1) / np.maximum(defined.sum(axis=1), 1))
+    valid = (prec > 0).all(axis=1) & (hyp_len > 0)
+    return np.where(valid, score, 0.0), prec, bp
 
-    An order with no hypothesis n-grams at all (every sentence shorter than n)
-    carries no evidence; it is left out of the geometric mean and reported as
-    a vacuous 1.0, so identical corpora score 100 at any sentence length.
-    """
-    matches = stats[:MAX_ORDER].astype(np.float64)
-    totals = stats[MAX_ORDER:2 * MAX_ORDER].astype(np.float64)
-    hyp_len, ref_len = int(stats[-2]), int(stats[-1])
-    precisions = tuple(m / t if t > 0 else 1.0 for m, t in zip(matches, totals))
-    if hyp_len == 0:
-        return BleuReport(0.0, precisions, 0.0, hyp_len, ref_len)
-    bp = float(np.exp(min(0.0, 1.0 - ref_len / hyp_len)))
-    used = [p for p, t in zip(precisions, totals) if t > 0]
-    if any(p == 0.0 for p in used):
-        return BleuReport(0.0, precisions, bp, hyp_len, ref_len)
-    score = bp * float(np.exp(np.mean(np.log(used))))
-    return BleuReport(100.0 * score, precisions, bp, hyp_len, ref_len)
+
+def bleu_from_stats(stats: np.ndarray) -> BleuReport:
+    """Corpus BLEU-4 of one vector of summed statistics (see `_bleu_rows`)."""
+    bleu, prec, bp = _bleu_rows(stats[None, :])
+    return BleuReport(float(bleu[0]), tuple(float(p) for p in prec[0]), float(bp[0]),
+                      int(stats[-2]), int(stats[-1]))
 
 
 def corpus_bleu(hypotheses: list[list[str]], references: list[list[str]]) -> BleuReport:
@@ -79,26 +86,6 @@ def corpus_bleu(hypotheses: list[list[str]], references: list[list[str]]) -> Ble
     for hyp, ref in zip(hypotheses, references):
         total += sentence_stats(hyp, ref)
     return bleu_from_stats(total)
-
-
-def _bleu_vector(stats: np.ndarray) -> np.ndarray:
-    """BLEU for each row of summed statistics, shape (k, 10) -> (k,).
-
-    Follows the bleu_from_stats conventions, including skipping orders with
-    no hypothesis n-grams.
-    """
-    matches = stats[:, :MAX_ORDER].astype(np.float64)
-    totals = stats[:, MAX_ORDER:2 * MAX_ORDER].astype(np.float64)
-    hyp_len = stats[:, -2].astype(np.float64)
-    ref_len = stats[:, -1].astype(np.float64)
-    defined = totals > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prec = np.where(defined, matches / np.maximum(totals, 1), 1.0)
-        logp = np.where(defined, np.log(np.maximum(prec, 1e-300)), 0.0)
-        bp = np.exp(np.minimum(0.0, 1.0 - ref_len / np.maximum(hyp_len, 1)))
-    score = 100.0 * bp * np.exp(logp.sum(axis=1) / np.maximum(defined.sum(axis=1), 1))
-    valid = (prec > 0).all(axis=1) & (hyp_len > 0)
-    return np.where(valid, score, 0.0)
 
 
 def bootstrap_significance(hyp_a: list[list[str]], hyp_b: list[list[str]],
@@ -118,8 +105,8 @@ def bootstrap_significance(hyp_a: list[list[str]], hyp_b: list[list[str]],
     n = len(references)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(samples, n))
-    bleu_a = _bleu_vector(stats_a[idx].sum(axis=1))
-    bleu_b = _bleu_vector(stats_b[idx].sum(axis=1))
+    bleu_a = _bleu_rows(stats_a[idx].sum(axis=1))[0]
+    bleu_b = _bleu_rows(stats_b[idx].sum(axis=1))[0]
     return float(np.mean(bleu_b <= bleu_a))
 
 

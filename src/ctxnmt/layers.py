@@ -68,15 +68,14 @@ def positional_encoding(length: int, d_model: int, dtype=np.float32) -> np.ndarr
     return pe.astype(dtype)
 
 
-def padding_mask(is_pad: np.ndarray, dtype=np.float32) -> np.ndarray:
-    """(B, Tk) bool -> (B, 1, 1, Tk) additive mask, -1e9 at pad positions."""
-    return np.where(is_pad, ad.MASK_SENTINEL, 0.0).astype(dtype)[:, None, None, :]
+def padding_mask(is_pad: np.ndarray) -> np.ndarray:
+    """(B, Tk) bool -> (B, 1, 1, Tk) mask, True where a key is blocked."""
+    return is_pad[:, None, None, :]
 
 
-def causal_mask(length: int, dtype=np.float32) -> np.ndarray:
-    """(1, 1, T, T) additive mask blocking attention to future positions."""
-    block = np.triu(np.ones((length, length), dtype=bool), k=1)
-    return np.where(block, ad.MASK_SENTINEL, 0.0).astype(dtype)[None, None, :, :]
+def causal_mask(length: int) -> np.ndarray:
+    """(1, 1, T, T) mask, True where a query would see a future position."""
+    return np.triu(np.ones((length, length), dtype=bool), k=1)[None, None, :, :]
 
 
 class Linear:

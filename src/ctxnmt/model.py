@@ -198,7 +198,7 @@ class Transformer:
                        ) -> tuple[ad.Tensor, np.ndarray, np.ndarray]:
         """Embed ids and run the shared encoder layers: (hidden, mask, is_pad)."""
         is_pad = ids == PAD
-        mask = ly.padding_mask(is_pad, self.dtype)
+        mask = ly.padding_mask(is_pad)
         x = drop(self._embed(self.src_embed, ids, flags=flags))
         for layer in self.enc_layers:
             x = layer(x, mask, drop)
@@ -259,8 +259,7 @@ class Transformer:
         start, is_pad = (0 if cache is None else cache.is_pad.shape[1]), tgt_in == PAD
         if cache is not None:
             is_pad = cache.is_pad = np.concatenate([cache.is_pad, is_pad], axis=1)
-        self_mask = (ly.causal_mask(is_pad.shape[1], self.dtype)[:, :, start:]
-                     + ly.padding_mask(is_pad, self.dtype))
+        self_mask = ly.causal_mask(is_pad.shape[1])[:, :, start:] | ly.padding_mask(is_pad)
         hidden, cross_mask = (enc.hidden, enc.mask) if cache is None else (None, cache.cross_mask)
         y = drop(self._embed(self.tgt_embed, tgt_in, start=start))
         for i, layer in enumerate(self.dec_layers):

@@ -135,6 +135,8 @@ def pad_ids(rows: list[list[int]]) -> np.ndarray:
 def decode_batches(examples: list[Example], batch_size: int, with_context: bool):
     """Fixed-size batches in file order, for decoding and attention dumps:
     yields (examples, padded source ids, padded context ids or None)."""
+    if batch_size < 1:
+        raise TrainerError(f"batch size must be >= 1, got {batch_size}")
     for start in range(0, len(examples), batch_size):
         chunk = examples[start:start + batch_size]
         ctx = pad_ids([ex.context_ids for ex in chunk]) if with_context else None
@@ -267,7 +269,6 @@ def train(model: Transformer, train_examples: list[Example],
                 if state.step_num >= cfg.max_steps:
                     break
 
-    save_checkpoint(model, last_path)
     return TrainResult(
         steps=state.step_num,
         final_train_loss=train_loss,

@@ -81,7 +81,7 @@ def test_criterion_2_gate_bottleneck():
     model.store["enc.fuse.fusion.gate.w"].data[:] = 0.0
     model.store["enc.fuse.fusion.gate.b"].data[:] = 30.0
     out = model.encode(src, ctx, zero_context=True)
-    mask = np.where(src == PAD, ad.MASK_SENTINEL, 0.0).astype(np.float32)[:, None, None, :]
+    mask = (src == PAD)[:, None, None, :]
     x = model._embed(model.src_embed, src)
     for layer in model.enc_layers:
         x = layer(x, mask, lambda t: t)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctxnmt.cli import main
 
@@ -137,6 +139,12 @@ def test_grad_check_passes_and_prints_max_err(capsys):
     assert "< 1e-04" in out
 
 
+def test_grad_check_empty_checks_is_a_validation_error(capsys):
+    code, _, err = run(capsys, "grad-check", "--checks")
+    assert code == 2
+    assert "--checks" in err
+
+
 def test_grad_check_impossible_threshold_is_numeric_failure(capsys):
     code, out, _ = run(capsys, "grad-check", "--checks", "attention",
                        "--seeds", "1", "--threshold", "1e-18")
@@ -217,6 +225,44 @@ def test_config_file_non_utf8_rejected(tmp_path, capsys):
                        "--config", str(cfg))
     assert code == 2
     assert f"{cfg}:2: not valid UTF-8" in err
+
+
+def test_config_file_loses_to_an_abbreviated_flag(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("train_size=40\ntest_size=10\nnoun_inventory=8\n")
+    out = tmp_path / "a"
+    assert main(["gen-synthetic", "--out-dir", str(out), "--config", str(cfg),
+                 "--train-si", "25"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["train_size"] == 25
+    assert manifest["config"]["test_size"] == 10
+
+
+def test_config_file_list_flag_takes_its_values(tmp_path, capsys):
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("checks=attention\nseeds=1\n")
+    code, out, _ = run(capsys, "grad-check", "--config", str(cfg))
+    assert code == 0
+    assert out.startswith("attention ")
+    assert "gated_fusion" not in out
+
+
+_CONFIG_LINE = st.one_of(
+    st.text(max_size=20),
+    st.builds("{}={}".format,
+              st.sampled_from(["hyp", "ref", "config", "help", "hy", "seed", "hyp "]),
+              st.text(max_size=12)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.text(), st.lists(_CONFIG_LINE, max_size=5).map("\n".join)))
+def test_config_file_of_any_text_exits_cleanly(tmp_path, text):
+    hyp, ref, cfg = tmp_path / "hyp.txt", tmp_path / "ref.txt", tmp_path / "any.cfg"
+    hyp.write_text("a b c d\n")
+    ref.write_text("a b c d\n")
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref), "--config", str(cfg)]) in (0, 2)
 
 
 def _raw_corpus(path, n_good, bad_at):
@@ -347,6 +393,20 @@ def test_translate_max_out_outside_range_is_a_validation_error(env, tmp_path, ca
                        "--output", str(out), "--max-out", max_out)
     assert code == 2
     assert "max_out" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["translate", "dump-attention"])
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_batch_size_below_one_is_a_validation_error(env, tmp_path, capsys, command, size):
+    out = tmp_path / "out.txt"
+    code, _, err = run(capsys, command, "--model", str(env["run"] / "best.ckpt"),
+                       "--data", str(env["data"] / "test.tsv"),
+                       "--src-vocab", str(env["data"] / "src.vocab"),
+                       "--tgt-vocab", str(env["data"] / "tgt.vocab"),
+                       "--output", str(out), "--batch-size", size)
+    assert code == 2
+    assert "batch size" in err
     assert not out.exists()
 
 

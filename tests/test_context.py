@@ -102,7 +102,7 @@ def test_zeroed_context_path_equals_self_attention_only_layer():
 
     # reference: same parameters, context branch never wired in
     drop = lambda t: t
-    mask = np.where(SRC == PAD, ad.MASK_SENTINEL, 0.0).astype(np.float32)[:, None, None, :]
+    mask = (SRC == PAD)[:, None, None, :]
     x = model._embed(model.src_embed, SRC)
     for layer in model.enc_layers:
         x = layer(x, mask, drop)

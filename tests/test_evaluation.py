@@ -83,6 +83,20 @@ def test_bleu_bounds(hyps):
     assert report.brevity_penalty <= 1.0
 
 
+@given(st.lists(st.tuples(st.lists(st.sampled_from("abcd"), max_size=7),
+                          st.lists(st.sampled_from("abcd"), max_size=7)),
+                min_size=1, max_size=6))
+def test_corpus_bleu_is_the_bootstrap_formula(pairs):
+    # the reported score and every bootstrap resample come from one formula
+    hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+    total = sum(ev.sentence_stats(h, r) for h, r in pairs)
+    bleu, precisions, bp = ev._bleu_rows(total[None, :])
+    report = ev.corpus_bleu(hyps, refs)
+    assert report.bleu == bleu[0]
+    assert report.precisions == tuple(precisions[0])
+    assert report.brevity_penalty == bp[0]
+
+
 def test_empty_hypothesis_sentence_scores_zero():
     report = ev.corpus_bleu([[]], [["a", "b"]])
     assert report.bleu == 0.0

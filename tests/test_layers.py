@@ -39,11 +39,11 @@ def test_positional_encoding_first_dim_is_plain_sine():
 def test_masks_shapes_and_values():
     pad = ly.padding_mask(np.array([[False, True]]))
     assert pad.shape == (1, 1, 1, 2)
-    assert pad[0, 0, 0, 0] == 0.0 and pad[0, 0, 0, 1] == ad.MASK_SENTINEL
+    assert pad.dtype == bool and not pad[0, 0, 0, 0] and pad[0, 0, 0, 1]
     causal = ly.causal_mask(3)
     assert causal.shape == (1, 1, 3, 3)
-    assert causal[0, 0, 0, 1] == ad.MASK_SENTINEL and causal[0, 0, 1, 0] == 0.0
-    assert (np.diag(causal[0, 0]) == 0.0).all()
+    assert causal.dtype == bool and causal[0, 0, 0, 1] and not causal[0, 0, 1, 0]
+    assert not np.diag(causal[0, 0]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_attention_weights_row_stochastic_under_padding():
     mha = ly.MultiHeadAttention(store, "attn", d_model=4, n_heads=2)
     x = ad.Tensor(np.random.default_rng(10).normal(size=(2, 4, 4)))
     mask = ly.padding_mask(np.array([[False, False, True, True],
-                                     [False, False, False, True]]), np.float64)
+                                     [False, False, False, True]]))
     _, weights = mha(x, x, mask)
     np.testing.assert_allclose(weights.sum(axis=-1), np.ones((2, 2, 4)), atol=1e-9)
     assert weights[0, :, :, 2:].max() < 1e-12  # padded keys draw no mass

@@ -301,6 +301,22 @@ def test_train_aborts_on_non_finite_loss(tmp_path):
         tr.train(model, _toy_dataset(), None, cfg, str(tmp_path))
 
 
+def test_train_saves_last_checkpoint_once_per_period(tmp_path, monkeypatch):
+    saves, save = [], tr.save_checkpoint
+
+    def counting(model, path):
+        saves.append(os.path.basename(path))
+        save(model, path)
+
+    monkeypatch.setattr(tr, "save_checkpoint", counting)
+    model = Transformer(_tiny_config(), np.random.default_rng(1))
+    cfg = tr.OptimizerConfig(d_model=32, warmup_steps=10, token_budget=200,
+                             max_steps=6, checkpoint_every=3, seed=3)
+    result = tr.train(model, _toy_dataset(), None, cfg, str(tmp_path))
+    assert saves == ["last.ckpt", "last.ckpt"]  # after steps 3 and 6
+    assert load_checkpoint(result.last_checkpoint) is not None
+
+
 def test_train_rejects_mismatched_schedule_width(tmp_path):
     model = Transformer(_tiny_config(), np.random.default_rng(1))
     cfg = tr.OptimizerConfig(d_model=64)
