@@ -19,6 +19,7 @@ import threading
 import numpy as np
 
 LAYER_NORM_EPS = 1e-6
+WEIGHT_GRAD_BLOCK = 256
 
 _tls = threading.local()
 
@@ -156,6 +157,19 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a 2-D right operand: a^T g over every row of the flattened
+    batch, summed in order over fixed blocks of WEIGHT_GRAD_BLOCK rows. A few
+    large products replace one small product per batch row, and the fixed
+    blocks keep the bytes independent of the BLAS thread count (one product
+    over all rows is not)."""
+    a2, g2 = a.reshape(-1, a.shape[-1]), g.reshape(-1, g.shape[-1])
+    out = a2[:WEIGHT_GRAD_BLOCK].T @ g2[:WEIGHT_GRAD_BLOCK]
+    for i in range(WEIGHT_GRAD_BLOCK, a2.shape[0], WEIGHT_GRAD_BLOCK):
+        out += a2[i:i + WEIGHT_GRAD_BLOCK].T @ g2[i:i + WEIGHT_GRAD_BLOCK]
+    return out
+
+
 def _make(out_data, inputs, backward) -> Tensor:
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -184,7 +198,8 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            _accum(b, _weight_grad(a.data, g) if b.ndim == 2
+                   else _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(out, (a, b), backward)
 

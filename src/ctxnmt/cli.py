@@ -760,16 +760,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_config_flags(argv: list[str]) -> list[str]:
+    """argv with the flags of its command's --config file placed after the
+    command words and before the user's own flags, so that the user's win and
+    the file may supply required ones. The file is found before argv is
+    parsed as a whole."""
+    words = 2 if " ".join(argv[:2]) in PARSERS else 1
+    command = PARSERS.get(" ".join(argv[:words]))
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv[words:])[0].config
+    except argparse.ArgumentError:  # --config without a value: the full parse reports it
+        return argv
+    if command is None or not path:
+        return argv
+    return argv[:words] + config_flags(command, path) + argv[words:]
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # the file's flags go before the user's, so that the user's win
-            words = 2 if getattr(args, "what", None) else 1
-            flags = config_flags(PARSERS[" ".join(argv[:words])], args.config)
-            args = parser.parse_args(argv[:words] + flags + argv[words:])
+        args = parser.parse_args(_with_config_flags(argv))
         return args.func(args)
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)

@@ -211,7 +211,8 @@ class GatedFusion:
         if a.shape != b.shape:
             raise ad.ShapeError("gated_fusion", a.shape, b.shape)
         g = ad.sigmoid(self.proj(ad.concat([a, b], axis=-1)))
-        one_minus_g = ad.add(ad.scale(g, -1.0), 1.0)
+        # 1 in g's dtype: a float64 constant would promote a float32 model
+        one_minus_g = ad.add(ad.scale(g, -1.0), np.ones((), g.dtype))
         fused = ad.add(ad.mul(g, a), ad.mul(one_minus_g, b))
         return fused, g
 

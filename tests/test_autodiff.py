@@ -105,6 +105,24 @@ def test_reuse_accumulates_gradient():
     np.testing.assert_allclose(x.grad, [2.0])
 
 
+@pytest.mark.parametrize("shape", [
+    (1, 1, 3), (15, 17, 3), (16, 16, 3), (257, 1, 3), (24, 25, 3),
+    (1, 1, 1, 3), (3, 5, 17, 3), (4, 8, 8, 3), (1, 257, 1, 3), (4, 6, 25, 3),
+], ids=lambda shape: "x".join(map(str, shape)))
+def test_blocked_weight_gradient_equals_batched_sum(shape):
+    """A 2-D right operand's gradient, summed over fixed row blocks, is the
+    per-row batched product summed down, for 1, 255, 256, 257 and 600 rows."""
+    rng = np.random.default_rng(int(np.prod(shape)))
+    a = rng.normal(size=shape)
+    w = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    probe = rng.normal(size=shape[:-1] + (5,))
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.mul(ad.matmul(ad.Tensor(a), w), ad.Tensor(probe)))
+    tape.backward(loss)
+    batched = ad._unbroadcast(np.swapaxes(a, -1, -2) @ probe, w.shape)
+    np.testing.assert_allclose(w.grad, batched, rtol=0, atol=1e-12)
+
+
 def test_broadcast_bias_gradient_sums_over_batch():
     b = ad.Tensor(np.zeros(3), requires_grad=True)
     x = ad.Tensor(np.ones((4, 3)))

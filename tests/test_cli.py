@@ -238,6 +238,16 @@ def test_config_file_loses_to_an_abbreviated_flag(tmp_path):
     assert manifest["config"]["test_size"] == 10
 
 
+def test_config_file_supplies_a_required_flag(tmp_path):
+    out = tmp_path / "a"
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"out_dir={out}\ntrain_size=5\ntest_size=2\nnoun_inventory=8\n")
+    assert main(["gen-synthetic", "--config", str(cfg)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["out_dir"] == str(out)
+    assert manifest["config"]["train_size"] == 5
+
+
 def test_config_file_list_flag_takes_its_values(tmp_path, capsys):
     cfg = tmp_path / "check.cfg"
     cfg.write_text("checks=attention\nseeds=1\n")

@@ -200,6 +200,21 @@ def test_feed_forward_gradients(seed):
     assert ad.finite_difference_check(f, store.tensors(), step=1e-5) < 1e-4
 
 
+def test_linear_gradients_over_a_ragged_last_row_block():
+    """600 rows: two full weight-gradient blocks and a ragged third."""
+    store = make_store(9)
+    lin = ly.Linear(store, "lin", 4, 3)
+    rows = 600
+    assert 2 * ad.WEIGHT_GRAD_BLOCK < rows < 3 * ad.WEIGHT_GRAD_BLOCK
+    x_data = np.random.default_rng(109).normal(size=(3, rows // 3, 4))
+
+    def f(params):
+        out = lin(ad.Tensor(x_data))
+        return ad.reduce_sum(ad.mul(out, out))
+
+    assert ad.finite_difference_check(f, store.tensors(), step=1e-5) < 1e-4
+
+
 def test_gated_fusion_gradients():
     store = make_store(5)
     fusion = ly.GatedFusion(store, "f", d_model=4)

@@ -150,6 +150,28 @@ def test_backward_empties_tape_and_keeps_parameter_grads(mode):
 
 
 @pytest.mark.parametrize("mode", ["none", "gated-context", "concat"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_keeps_its_dtype_through_training_and_decoding(mode, dtype):
+    """No constant promotes a float32 model to float64: not a tape record, the
+    loss, a parameter gradient, the encoder state or a decode_step."""
+    model = small_model(11, dtype, context_mode=mode, max_len=64)
+    src, tgt, ctx = _step_batch(mode)
+    with ad.Tape() as tape:
+        loss = model.loss(src, tgt, ctx_ids=ctx, train=True, rng=np.random.default_rng(0))
+    assert {out.dtype for out, _ in tape._records} == {np.dtype(dtype)}
+    tape.backward(loss)
+    assert loss.dtype == dtype
+    assert {p.grad.dtype for p in model.store.tensors() if p.grad is not None} == {np.dtype(dtype)}
+    src, ctx = _padded_batch(mode)
+    enc = model.encode(src, ctx)
+    prefix = np.array([[TBOS]] * len(src))
+    cache = model.new_cache(enc)
+    assert enc.hidden.dtype == dtype
+    assert model.decode_step(prefix, enc).dtype == dtype
+    assert model.decode_step(prefix, enc, cache).dtype == dtype
+
+
+@pytest.mark.parametrize("mode", ["none", "gated-context", "concat"])
 def test_training_step_peaks_near_its_forward_pass(mode):
     """Backward frees activations as it goes, so it adds little to the peak
     that the forward pass set (about 2x when the tape was kept whole)."""

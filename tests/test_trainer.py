@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,6 +137,48 @@ def test_clip_global_norm_no_op_below_threshold():
     a.grad = np.array([0.3, 0.4])
     tr.clip_global_norm([a], 5.0)
     assert a.grad == pytest.approx([0.3, 0.4])
+
+
+_SEEDED_STEPS = """
+import hashlib
+import numpy as np
+from ctxnmt import autodiff as ad, trainer as tr
+from ctxnmt.model import ModelConfig, Transformer
+from ctxnmt.vocab import BOS
+for vocab in (60, 600):
+    for mode in ("none", "gated-context", "concat"):
+        config = ModelConfig(n_layers=2, n_heads=4, d_model=64, d_ff=128, src_vocab=60,
+                             tgt_vocab=vocab, dropout=0.1, label_smoothing=0.1,
+                             max_len=16, context_mode=mode)
+        model = Transformer(config, np.random.default_rng(0))
+        state, rng = tr.TrainState(), np.random.default_rng(1)
+        for _ in range(3):
+            src, ctx = rng.integers(6, 60, (300, 4)), rng.integers(6, 60, (300, 4))
+            ctx[:, 0] = BOS
+            tgt = rng.integers(6, vocab, (300, 5))
+            with ad.Tape() as tape:
+                loss = model.loss(src, tgt, None if mode == "none" else ctx, train=True, rng=rng)
+            tape.backward(loss)
+            tr.adam_step(model, state, 1e-3, tr.OptimizerConfig(d_model=64))
+        digest = hashlib.sha256(b"".join(p.data.tobytes() for p in model.store.tensors()))
+        print(vocab, mode, digest.hexdigest())
+"""
+
+
+def test_trained_bytes_do_not_depend_on_blas_thread_count():
+    """Seeded steps on 300-row batches (over 1,200 flattened rows, where one
+    weight-gradient product over all rows changes with the thread count)
+    give the same parameter bytes at 1 and 2 BLAS threads. The thread count
+    is read when numpy loads, so each run is its own process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tr.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _SEEDED_STEPS], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(proc.stdout.splitlines())
+    assert len(digests[0]) == 6 and digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
