@@ -3,12 +3,20 @@
 Merges are learned greedily on pair frequency with a lexicographic tie-break,
 so a corpus maps to exactly one model. Subword pieces carry a trailing "@@"
 connector on every non-final piece; joining on that connector inverts the
-segmentation for any text whose characters were seen in training.
+segmentation for any text whose characters were seen in training and none of
+whose tokens ends in the connector (`data.ingest` rejects records that hold one).
+
+Both directions scale as in Sennrich et al. 2016 (arXiv 1508.07909): the
+learner counts pairs once and, after each merge, recounts only the words that
+hold the merged pair; the segmenter segments each distinct token once per
+model, visiting only the merges that change it.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
+import heapq
 from dataclasses import dataclass, field
 
 from .vocab import numbered_lines
@@ -23,6 +31,8 @@ class BpeError(ValueError):
 @dataclass
 class BpeModel:
     merges: list[tuple[str, str]] = field(default_factory=list)
+    # (a copy of `merges`, `_segmenter`'s two tables), rebuilt once they differ
+    _cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -39,13 +49,15 @@ class BpeModel:
             merges.append((parts[0], parts[1]))
         return cls(merges)
 
-
-def _pair_counts(word_freqs: dict[tuple[str, ...], int]) -> collections.Counter:
-    counts: collections.Counter = collections.Counter()
-    for word, freq in word_freqs.items():
-        for pair in zip(word, word[1:]):
-            counts[pair] += freq
-    return counts
+    def _segmenter(self) -> tuple[dict, dict]:
+        """Each pair's ascending ranks in `merges` (a pair may appear more than
+        once), and the pieces of every token segmented so far."""
+        if self._cache is None or self._cache[0] != self.merges:
+            ranks = collections.defaultdict(list)
+            for rank, pair in enumerate(self.merges):
+                ranks[pair].append(rank)
+            self._cache = (list(self.merges), dict(ranks), {})
+        return self._cache[1], self._cache[2]
 
 
 def _merge_word(word: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
@@ -65,38 +77,79 @@ def learn_bpe(lines, num_merges: int) -> BpeModel:
     """Learn `num_merges` merges from an iterable of whitespace-tokenized lines."""
     if num_merges < 0:
         raise BpeError(f"num_merges must be >= 0, got {num_merges}")
-    word_freqs: dict[tuple[str, ...], int] = collections.Counter()
+    token_freqs: collections.Counter = collections.Counter()
     for line in lines:
-        for token in line.split():
-            word_freqs[tuple(token)] += 1
+        token_freqs.update(line.split())
+    words = [tuple(token) for token in token_freqs]
+    freqs = list(token_freqs.values())
+    counts: collections.Counter = collections.Counter()
+    holders = collections.defaultdict(set)  # pair -> indices of the words that hold it
+    for i, word in enumerate(words):
+        for pair in zip(word, word[1:]):
+            counts[pair] += freqs[i]
+            holders[pair].add(i)
+    # deterministic: the most frequent pair, the smallest among equals; an
+    # entry whose count is no longer the pair's is stale and skipped
+    heap = [(-count, pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
 
     merges = []
-    for _ in range(num_merges):
-        counts = _pair_counts(word_freqs)
-        if not counts:
-            break
-        best_freq = max(counts.values())
-        # deterministic: among equally frequent pairs take the smallest
-        best = min(p for p, c in counts.items() if c == best_freq)
+    while heap and len(merges) < num_merges:
+        neg_count, best = heapq.heappop(heap)
+        if counts.get(best) != -neg_count:
+            continue
         merges.append(best)
-        word_freqs = collections.Counter(
-            {_merge_word(w, best): f for w, f in word_freqs.items()})
+        delta: collections.Counter = collections.Counter()
+        for i in holders.pop(best):
+            old = words[i]
+            words[i] = new = _merge_word(old, best)
+            for pair in zip(old, old[1:]):
+                delta[pair] -= freqs[i]
+                holders[pair].discard(i)
+            for pair in zip(new, new[1:]):
+                delta[pair] += freqs[i]
+                holders[pair].add(i)
+        for pair, change in delta.items():
+            if change:
+                counts[pair] += change
+                if counts[pair]:
+                    heapq.heappush(heap, (-counts[pair], pair))
+                else:
+                    del counts[pair], holders[pair]
     return BpeModel(merges)
 
 
-def segment_word(model: BpeModel, token: str) -> list[str]:
+def _replay(ranks: dict, token: str) -> tuple[str, ...]:
+    """The pieces of `token` after every merge in rank order. After rank k
+    the next merge that changes the word is the smallest rank above k whose
+    pair it holds, so only those merges are applied."""
     word = tuple(token)
-    for pair in model.merges:
-        if len(word) == 1:
-            break
-        word = _merge_word(word, pair)
-    return [p + CONNECTOR for p in word[:-1]] + [word[-1]]
+    done = -1
+    while True:
+        best = None
+        for pair in zip(word, word[1:]):
+            later = ranks.get(pair, ())
+            j = bisect.bisect_right(later, done)
+            if j < len(later) and (best is None or later[j] < best[0]):
+                best = (later[j], pair)
+        if best is None:
+            return tuple(p + CONNECTOR for p in word[:-1]) + word[-1:]
+        done = best[0]
+        word = _merge_word(word, best[1])
+
+
+def segment_word(model: BpeModel, token: str) -> list[str]:
+    return apply_bpe(model, [token])
 
 
 def apply_bpe(model: BpeModel, tokens: list[str]) -> list[str]:
+    ranks, pieces = model._segmenter()
     out = []
     for token in tokens:
-        out.extend(segment_word(model, token))
+        got = pieces.get(token)
+        if got is None:
+            got = pieces[token] = _replay(ranks, token)
+        out.extend(got)
     return out
 
 

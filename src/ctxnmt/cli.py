@@ -16,6 +16,7 @@ import datetime
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -41,8 +42,21 @@ class CliError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class _Laps(dict):
+    """Wall seconds of each phase: calling it with a name stores the time
+    since the previous call (or since creation) under that name."""
+
+    def __init__(self):
+        super().__init__()
+        self._last = time.perf_counter()
+
+    def __call__(self, name: str) -> None:
+        now = time.perf_counter()
+        self[name], self._last = now - self._last, now
+
+
 def write_manifest(path: str, args: argparse.Namespace,
-                   inputs: list[str], outputs: list[str]) -> None:
+                   inputs: list[str], outputs: list[str], timings: dict | None = None) -> None:
     command = args.command + (f" {args.what}" if getattr(args, "what", None) else "")
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "command", "what")}
@@ -55,6 +69,8 @@ def write_manifest(path: str, args: argparse.Namespace,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    if timings is not None:
+        manifest["timings"] = timings
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -153,14 +169,17 @@ def _override_contexts(triples: list[tuple[str, str, str]], override: str,
 
 
 def cmd_prepare(args) -> int:
+    lap = _Laps()
     direction = "previous" if args.direction == "prev" else args.direction
     pairs, skipped = data.ingest_file(args.input, args.max_malformed_fraction)
     kept = data.filter_pairs(pairs, args.min_overlap)
     ctxed = data.attach_context(kept, direction, args.max_gap,
                                 seed=args.seed if direction == "shuffled" else None)
+    lap("ingest")
 
     src_model = bpe.learn_bpe((cp.pair.source_text for cp in ctxed), args.bpe_merges)
     tgt_model = bpe.learn_bpe((cp.pair.target_text for cp in ctxed), args.bpe_merges)
+    lap("learn_bpe")
 
     def seg(model: bpe.BpeModel, text: str) -> str:
         return " ".join(bpe.apply_bpe(model, text.split())) if text else ""
@@ -168,9 +187,11 @@ def cmd_prepare(args) -> int:
     triples = [(seg(src_model, cp.context_text),
                 seg(src_model, cp.pair.source_text),
                 seg(tgt_model, cp.pair.target_text)) for cp in ctxed]
+    lap("apply_bpe")
     src_vocab = Vocab.from_symbols(
         bpe.vocab_symbols([t[0] for t in triples] + [t[1] for t in triples]))
     tgt_vocab = Vocab.from_symbols(bpe.vocab_symbols([t[2] for t in triples]))
+    lap("vocabularies")
 
     os.makedirs(args.out_dir, exist_ok=True)
     paths = {name: os.path.join(args.out_dir, name)
@@ -181,8 +202,9 @@ def cmd_prepare(args) -> int:
     tgt_model.save(paths["tgt.bpe"])
     src_vocab.save(paths["src.vocab"])
     tgt_vocab.save(paths["tgt.vocab"])
+    lap("write")
     write_manifest(os.path.join(args.out_dir, MANIFEST_NAME), args,
-                   [args.input], list(paths.values()))
+                   [args.input], list(paths.values()), timings=lap)
 
     n_ctx = sum(1 for cp in ctxed if cp.has_real_context)
     print(f"read {len(pairs)} pairs ({skipped} malformed lines skipped)")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bpe import CONNECTOR
 from .vocab import BOS, EOS, TBOS, TEOS, Vocab, numbered_lines
 
 CONTEXT_DIRECTIONS = ("previous", "next", "none", "shuffled")
@@ -57,8 +58,9 @@ class Example:
 
 
 def ingest(lines, max_malformed_fraction: float = 0.10) -> tuple[list[RawPair], int]:
-    """Parse raw records; malformed lines, bytes that are not UTF-8 among them,
-    are skipped and counted."""
+    """Parse raw records; malformed lines are skipped and counted. Among them
+    are lines with bytes that are not UTF-8, and records with a token ending
+    in the BPE connector, which detokenizing would glue to the next word."""
     pairs = []
     skipped = 0
     total = 0
@@ -83,6 +85,9 @@ def ingest(lines, max_malformed_fraction: float = 0.10) -> tuple[list[RawPair], 
             skipped += 1
             continue
         if t1 < t0 or not 0.0 <= overlap <= 1.0 or not src.strip() or not tgt.strip():
+            skipped += 1
+            continue
+        if CONNECTOR in line and any(t.endswith(CONNECTOR) for t in src.split() + tgt.split()):
             skipped += 1
             continue
         pairs.append(RawPair(movie_id, t0, t1, overlap, src.strip(), tgt.strip()))

@@ -275,14 +275,17 @@ def test_config_file_of_any_text_exits_cleanly(tmp_path, text):
     assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref), "--config", str(cfg)]) in (0, 2)
 
 
-def _raw_corpus(path, n_good, bad_at):
-    """n_good valid raw records, with a record holding the byte 0xff before
-    each index in bad_at."""
+_NON_UTF8_RECORD = b"m0\t0.0\t1.0\t0.95\tthe \xff cat\tthe cat\n"
+
+
+def _raw_corpus(path, n_good, bad_at, bad=_NON_UTF8_RECORD):
+    """n_good valid raw records, with the record `bad` (by default one holding
+    the byte 0xff) before each index in bad_at."""
     words = ["the", "cat", "sat", "mat", "dog", "ran", "far", "now"]
     lines = []
     for i in range(n_good):
         if i in bad_at:
-            lines.append(b"m0\t0.0\t1.0\t0.95\tthe \xff cat\tthe cat\n")
+            lines.append(bad)
         src = " ".join(words[(i + j) % 8] for j in range(4))
         tgt = " ".join(words[(i + j + 1) % 8] for j in range(4))
         lines.append(f"m{i % 3}\t{i * 2.0}\t{i * 2.0 + 1.5}\t0.95\t{src}\t{tgt}\n"
@@ -308,6 +311,43 @@ def test_prepare_non_utf8_lines_over_tolerance_is_a_validation_error(tmp_path, c
     assert code == 2
     assert "2 of 10 lines malformed" in err and "Traceback" not in err
     assert not (tmp_path / "prep").exists()
+
+
+_CONNECTOR_RECORDS = [b"m0\t0.0\t1.0\t0.95\tthe cat@@ sat\tthe cat\n",
+                      b"m0\t0.0\t1.0\t0.95\tthe cat\tthe @@\n"]
+
+
+@pytest.mark.parametrize("bad", _CONNECTOR_RECORDS)
+def test_prepare_skips_a_token_ending_in_the_connector(tmp_path, capsys, bad):
+    # "cat@@ sat" would segment to pieces that detokenize to "catsat"
+    raw = tmp_path / "raw.tsv"
+    _raw_corpus(raw, 20, bad_at={7}, bad=bad)
+    code, out, err = run(capsys, "prepare", "--input", str(raw),
+                         "--out-dir", str(tmp_path / "prep"), "--bpe-merges", "10")
+    assert code == 0, err
+    assert "read 20 pairs (1 malformed lines skipped)" in out
+    assert len((tmp_path / "prep" / "prepared.tsv").read_text().splitlines()) == 20
+
+
+def test_prepare_connector_tokens_over_tolerance_are_a_validation_error(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    _raw_corpus(raw, 8, bad_at={2, 5}, bad=_CONNECTOR_RECORDS[0])
+    code, _, err = run(capsys, "prepare", "--input", str(raw),
+                       "--out-dir", str(tmp_path / "prep"), "--bpe-merges", "10")
+    assert code == 2
+    assert "2 of 10 lines malformed" in err and "Traceback" not in err
+    assert not (tmp_path / "prep").exists()
+
+
+def test_prepare_manifest_times_each_phase(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    _raw_corpus(raw, 20, bad_at=set())
+    code, _, err = run(capsys, "prepare", "--input", str(raw),
+                       "--out-dir", str(tmp_path / "prep"), "--bpe-merges", "10")
+    assert code == 0, err
+    timings = json.loads((tmp_path / "prep" / "manifest.json").read_text())["timings"]
+    assert sorted(timings) == ["apply_bpe", "ingest", "learn_bpe", "vocabularies", "write"]
+    assert all(isinstance(s, float) and s >= 0.0 for s in timings.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import collections
+import hashlib
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ctxnmt import bpe, data, synthetic
@@ -71,6 +73,143 @@ def test_detokenize_inverts_apply(words, n_merges):
     assert bpe.detokenize(bpe.apply_bpe(model, words)) == words
 
 
+# The quadratic learner and segmenter that bpe.py replaced, kept as the
+# oracle: recount every pair and rebuild the word table after each merge;
+# replay every merge, in order, on every token.
+
+
+def _reference_merge_word(word, pair):
+    out = []
+    i = 0
+    while i < len(word):
+        if i + 1 < len(word) and (word[i], word[i + 1]) == pair:
+            out.append(word[i] + word[i + 1])
+            i += 2
+        else:
+            out.append(word[i])
+            i += 1
+    return tuple(out)
+
+
+def _reference_learn_bpe(lines, num_merges):
+    word_freqs = collections.Counter()
+    for line in lines:
+        for token in line.split():
+            word_freqs[tuple(token)] += 1
+    merges = []
+    for _ in range(num_merges):
+        counts = collections.Counter()
+        for word, freq in word_freqs.items():
+            for pair in zip(word, word[1:]):
+                counts[pair] += freq
+        if not counts:
+            break
+        best_freq = max(counts.values())
+        best = min(p for p, c in counts.items() if c == best_freq)
+        merges.append(best)
+        word_freqs = collections.Counter(
+            {_reference_merge_word(w, best): f for w, f in word_freqs.items()})
+    return merges
+
+
+def _reference_segment_word(merges, token):
+    word = tuple(token)
+    for pair in merges:
+        if len(word) == 1:
+            break
+        word = _reference_merge_word(word, pair)
+    return [p + bpe.CONNECTOR for p in word[:-1]] + [word[-1]]
+
+
+def _reference_apply_bpe(merges, tokens):
+    return [piece for token in tokens for piece in _reference_segment_word(merges, token)]
+
+
+# small alphabets with one non-ASCII letter make ties and multi-character
+# symbols common
+_TOKENS = st.text(alphabet="abcé", min_size=1, max_size=7)
+_LINES = st.lists(st.lists(_TOKENS, min_size=1, max_size=5).map(" ".join),
+                  min_size=1, max_size=12)
+
+
+@given(_LINES, st.integers(min_value=0, max_value=40))
+def test_learn_and_apply_equal_the_quadratic_reference(lines, n_merges):
+    model = bpe.learn_bpe(lines, n_merges)
+    assert model.merges == _reference_learn_bpe(lines, n_merges)
+    for line in lines:
+        assert bpe.apply_bpe(model, line.split()) == \
+            _reference_apply_bpe(model.merges, line.split())
+
+
+_SYMBOLS = st.sampled_from(["a", "b", "c", "é", "ab", "bc", "ca", "aé", "abc", ""])
+
+
+@st.composite
+def _loaded_merges(draw):
+    """A merge list as BpeModel.load may return one, and tokens to segment:
+    learned merges, with arbitrary pairs (some no word holds) and copies of
+    learned merges inserted anywhere, also ahead of the merges that make
+    their pieces."""
+    lines = draw(_LINES)
+    merges = _reference_learn_bpe(lines, draw(st.integers(min_value=0, max_value=20)))
+    extra = draw(st.lists(st.tuples(_SYMBOLS, _SYMBOLS), max_size=6))
+    if merges:
+        extra += draw(st.lists(st.sampled_from(merges), max_size=6))
+    for pair in extra:
+        merges.insert(draw(st.integers(min_value=0, max_value=len(merges))), pair)
+    return merges, " ".join(lines).split()
+
+
+@example(([("ab", "c"), ("a", "b"), ("ab", "c")], ["abc", "cabcab"]))
+@given(_loaded_merges())
+def test_any_merge_list_segments_as_the_reference(case):
+    merges, tokens = case
+    model = bpe.BpeModel(merges)
+    assert bpe.apply_bpe(model, tokens) == _reference_apply_bpe(merges, tokens)
+    for token in tokens:
+        assert bpe.segment_word(model, token) == _reference_segment_word(merges, token)
+
+
+def _golden_corpus():
+    """2,000 seeded lines of Zipf-distributed pseudo-words over an alphabet with
+    one non-ASCII letter and some punctuation."""
+    rng = random.Random(1508)
+    syllables = [c + v for c in "bdgklmnprstvzž" for v in "aeiouy"] + ["'", ",", "?"]
+    words = ["".join(rng.choices(syllables, k=rng.randint(1, 4))) for _ in range(900)]
+    weights = [1.0 / (rank + 1) for rank in range(len(words))]
+    return [" ".join(rng.choices(words, weights, k=rng.randint(1, 12))) for _ in range(2000)]
+
+
+def test_golden_merges_and_segmentations():
+    # digests recorded with the quadratic learner and segmenter above
+    lines = _golden_corpus()
+    model = bpe.learn_bpe(lines, 300)
+    merges = "".join(f"{a} {b}\n" for a, b in model.merges)
+    segmented = "".join(" ".join(bpe.apply_bpe(model, line.split())) + "\n" for line in lines)
+    assert len(model.merges) == 300
+    assert hashlib.sha256(merges.encode()).hexdigest() == \
+        "a38e4888c5c10f663af74d0fb490083e64e8fe0e29fc4dd49ff7b347df1f5e94"
+    assert hashlib.sha256(segmented.encode()).hexdigest() == \
+        "19c777c024c5b98ba6ed103c51aca08c16051581364df3878c7dc9b18e67ac02"
+
+
+def test_segmentation_follows_changed_merges():
+    model = bpe.BpeModel([("a", "b")])
+    assert bpe.apply_bpe(model, ["abc"]) == ["ab@@", "c"]
+    model.merges.append(("ab", "c"))
+    assert bpe.apply_bpe(model, ["abc"]) == ["abc"]
+    model.merges[0] = ("b", "c")
+    assert bpe.segment_word(model, "abc") == ["a@@", "bc"]
+    model.merges = []
+    assert bpe.apply_bpe(model, ["abc"]) == ["a@@", "b@@", "c"]
+
+
+def test_empty_token_has_no_pieces():
+    model = bpe.learn_bpe(["low low lower"], 3)
+    assert bpe.segment_word(model, "") == []
+    assert bpe.apply_bpe(model, ["low", "", "low"]) == ["low", "low"]
+
+
 def test_group_pieces():
     assert bpe.group_pieces(["lo@@", "w", "and", "hi@@", "gh@@", "er"]) == \
         [[0, 1], [2], [3, 4, 5]]
@@ -120,6 +259,19 @@ def test_ingest_skips_bad_field_values():
     pairs, skipped = data.ingest(bad + [_line()] * 10, max_malformed_fraction=0.5)
     assert len(pairs) == 10
     assert skipped == 4
+
+
+def test_ingest_skips_tokens_ending_in_the_connector():
+    # such a token would detokenize glued to its successor; inside a token,
+    # or as a prefix, the connector is harmless
+    bad = [_line(src="hello there@@ you"), _line(tgt="hallo @@"), _line(src="@@")]
+    good = [_line(src="a@@b c"), _line(tgt="@@x y")]
+    pairs, skipped = data.ingest(bad + good + [_line()] * 10, max_malformed_fraction=0.5)
+    assert skipped == 3
+    assert [p.source_text for p in pairs[:2]] == ["a@@b c", "hello there"]
+    model = bpe.learn_bpe(["a@@b c @@x y"], 6)
+    for text in ("a@@b c", "@@x y"):
+        assert bpe.detokenize(bpe.apply_bpe(model, text.split())) == text.split()
 
 
 def test_ingest_too_many_malformed_lines_is_an_error():
