@@ -3,8 +3,8 @@
 
 Generates the corpus, trains one model per context mode, scores them, and
 reports the context ablation plus the attention-vs-heuristics agreement
-table. Everything runs through the ctxnmt command line, so each stage leaves
-a replayable manifest in the output directory.
+table. It runs `ctxnmt.experiment.synthetic`, as the acceptance gate does,
+so each stage leaves a replayable manifest in the output directory.
 
     python3 scripts/run_synthetic_experiment.py --out-dir runs/synthetic
 
@@ -18,133 +18,40 @@ measures. Use --quick for a fast shakedown run.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 
-from ctxnmt import evaluation
-from ctxnmt.cli import main as ctxnmt
-
-
-def run(*argv: str) -> None:
-    code = ctxnmt([str(a) for a in argv])
-    if code not in (0, 1):  # compare signals non-significance with 1
-        raise SystemExit(f"ctxnmt {' '.join(map(str, argv[:2]))} failed with exit code {code}")
-
-
-def read_tokens(path: str) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.split() for line in fh.read().splitlines()]
-
-
-def score(hyp_path: str, ref_path: str) -> tuple[float, float]:
-    hyp, ref = read_tokens(hyp_path), read_tokens(ref_path)
-    bleu = evaluation.corpus_bleu(hyp, ref).bleu
-    acc = evaluation.pronoun_form_accuracy(hyp, ref)
-    return bleu, acc
-
-
-def p_value(hyp_a: str, hyp_b: str, ref: str, seed: int) -> float:
-    return evaluation.bootstrap_significance(
-        read_tokens(hyp_a), read_tokens(hyp_b), read_tokens(ref),
-        samples=1000, seed=seed)
+from ctxnmt import evaluation, experiment
 
 
 def main() -> int:
+    fields = dataclasses.fields(experiment.SyntheticConfig)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default="runs/synthetic")
-    ap.add_argument("--train-size", type=int, default=20000)
-    ap.add_argument("--test-size", type=int, default=2000)
-    ap.add_argument("--noun-inventory", type=int, default=40)
-    ap.add_argument("--distractor-prob", type=float, default=0.5)
-    ap.add_argument("--steps", type=int, default=800)
-    ap.add_argument("--warmup", type=int, default=200)
-    ap.add_argument("--token-budget", type=int, default=1600)
-    ap.add_argument("--dropout", type=float, default=0.0)
-    ap.add_argument("--label-smoothing", type=float, default=0.0)
-    ap.add_argument("--seed", type=int, default=13)
+    for field in fields:
+        ap.add_argument("--" + field.name.replace("_", "-"),
+                        type=type(field.default), default=field.default)
     ap.add_argument("--quick", action="store_true",
                     help="tiny sizes and step counts for a shakedown run")
     args = ap.parse_args()
     if args.quick:
         args.train_size, args.test_size, args.steps, args.warmup = 600, 100, 150, 40
+    cfg = experiment.SyntheticConfig(**{f.name: getattr(args, f.name) for f in fields})
 
-    out = args.out_dir
-    data = os.path.join(out, "data")
-    run("gen-synthetic", "--out-dir", data,
-        "--train-size", args.train_size, "--test-size", args.test_size,
-        "--noun-inventory", args.noun_inventory,
-        "--distractor-prob", args.distractor_prob, "--seed", args.seed)
+    try:
+        summary = experiment.synthetic(args.out_dir, cfg)
+    except experiment.ExperimentError as exc:
+        raise SystemExit(str(exc)) from None
 
-    def train(mode: str) -> str:
-        run_dir = os.path.join(out, f"model_{mode}")
-        run("train", "--data", os.path.join(data, "train.tsv"),
-            "--dev", os.path.join(data, "test.tsv"),
-            "--out-dir", run_dir,
-            "--src-vocab", os.path.join(data, "src.vocab"),
-            "--tgt-vocab", os.path.join(data, "tgt.vocab"),
-            "--context-mode", mode,
-            "--n-layers", 2, "--n-heads", 4, "--d-model", 64, "--d-ff", 128,
-            "--dropout", args.dropout, "--label-smoothing", args.label_smoothing,
-            "--max-len", 24, "--warmup", args.warmup,
-            "--token-budget", args.token_budget, "--max-steps", args.steps,
-            "--checkpoint-every", max(args.steps // 4, 1),
-            "--quiet", "--seed", args.seed)
-        return os.path.join(run_dir, "best.ckpt")
-
-    def translate(ckpt: str, tag: str, override: str = "as-is") -> str:
-        hyp = os.path.join(out, f"hyp_{tag}.txt")
-        run("translate", "--model", ckpt,
-            "--data", os.path.join(data, "test.tsv"),
-            "--src-vocab", os.path.join(data, "src.vocab"),
-            "--tgt-vocab", os.path.join(data, "tgt.vocab"),
-            "--output", hyp, "--refs-out", os.path.join(out, "ref.txt"),
-            "--context-override", override, "--seed", args.seed)
-        return hyp
-
-    systems = ["none", "prev", "shuffled", "concat"]
-    checkpoints = {mode: train(mode) for mode in systems}
-    hyps = {mode: translate(checkpoints[mode], mode) for mode in systems}
-    hyps["prev, shuffled contexts"] = translate(checkpoints["prev"],
-                                                "prev_shuffled", "shuffled")
-    ref = os.path.join(out, "ref.txt")
-
-    scores = {name: score(path, ref) for name, path in hyps.items()}
-    rows = [[name, f"{bleu:.2f}", f"{acc:.3f}"]
-            for name, (bleu, acc) in scores.items()]
+    rows = [[name, f"{s['bleu']:.2f}", f"{s['pronoun_accuracy']:.3f}"]
+            for name, s in summary["systems"].items()]
     print()
     print(evaluation.render_table(["context mode", "BLEU", "pronoun accuracy"], rows))
-
-    p_gated = p_value(hyps["none"], hyps["prev"], ref, args.seed)
-    p_shuf = p_value(hyps["prev, shuffled contexts"], hyps["prev"], ref, args.seed)
-    print(f"\ngated > context-agnostic: p = {p_gated:.4f}")
-    print(f"real > shuffled contexts: p = {p_shuf:.4f}  (1000 bootstrap samples)")
-
-    records = os.path.join(out, "attention.jsonl")
-    run("dump-attention", "--model", checkpoints["prev"],
-        "--data", os.path.join(data, "test.tsv"),
-        "--src-vocab", os.path.join(data, "src.vocab"),
-        "--tgt-vocab", os.path.join(data, "tgt.vocab"),
-        "--output", records, "--seed", args.seed)
-    print("\nantecedent agreement on multi-noun contexts:")
-    run("analyze", "agreement", "--records", records,
-        "--annotations", os.path.join(data, "test.annotations"),
-        "--min-nouns", 2, "--seed", args.seed)
-    run("analyze", "confusion", "--records", records,
-        "--annotations", os.path.join(data, "test.annotations"),
-        "--heuristic", "last", "--min-nouns", 2, "--seed", args.seed)
-
-    summary = {
-        "systems": {name: {"bleu": bleu, "pronoun_accuracy": acc}
-                    for name, (bleu, acc) in scores.items()},
-        "p_gated_over_none": p_gated,
-        "p_real_over_shuffled": p_shuf,
-        "config": vars(args),
-    }
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"\nsummary written to {os.path.join(out, 'summary.json')}")
+    print(f"\ngated > context-agnostic: p = {summary['p_gated_over_none']:.4f}")
+    print(f"real > shuffled contexts: p = {summary['p_real_over_shuffled']:.4f}  "
+          f"(1000 bootstrap samples)")
+    print(f"\nsummary written to {os.path.join(args.out_dir, 'summary.json')}")
     return 0
 
 

@@ -303,7 +303,7 @@ def cmd_train(args) -> int:
                            result.metrics_path) if p]
     write_manifest(os.path.join(args.out_dir, MANIFEST_NAME), args, inputs, outputs)
 
-    best = "n/a" if result.best_dev_loss is None else f"{result.best_dev_loss:.4f}"
+    best = "n/a" if result.best_checkpoint is None else f"{result.best_dev_loss:.4f}"
     print(f"trained {result.steps} steps; final train loss {result.final_train_loss:.4f}; "
           f"best dev loss {best}")
     print(f"checkpoints: {result.last_checkpoint}"

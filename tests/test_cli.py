@@ -377,6 +377,18 @@ def test_train_rejects_context_mode_without_contexts(env, tmp_path, capsys):
     assert "context" in err
 
 
+def test_train_without_dev_has_no_best_dev_loss(env, tmp_path, capsys):
+    code, out, _ = run(capsys, "train", "--data", str(env["data"] / "test.tsv"),
+                       "--out-dir", str(tmp_path / "x"),
+                       "--src-vocab", str(env["data"] / "src.vocab"),
+                       "--tgt-vocab", str(env["data"] / "tgt.vocab"),
+                       "--context-mode", "none", "--n-layers", "1", "--d-model", "8",
+                       "--d-ff", "16", "--n-heads", "2", "--max-steps", "1", "--quiet")
+    assert code == 0
+    assert "best dev loss n/a" in out
+    assert not (tmp_path / "x" / "best.ckpt").exists()
+
+
 def test_translate_output_aligns_with_input(env):
     hyp_lines = env["hyp"].read_text().splitlines()
     ref_lines = env["ref"].read_text().splitlines()
