@@ -2,14 +2,17 @@
 
 Ops execute eagerly on numpy arrays. While a Tape is active (``with Tape()
 as tape:``), every op whose inputs require gradients records a backward rule;
-``tape.backward(loss)`` replays the rules in reverse and accumulates into
-``Tensor.grad``, freeing each record as it goes, so only leaf gradients survive
-it and a tape runs backward once. With no active tape, ops are plain numpy
-(inference mode).
+``tape.backward(loss)`` replays the rules in reverse, freeing each record as
+it goes, so only leaf gradients survive it and a tape runs backward once; it
+adds them into ``Tensor.grad``, or with ``fill_grad=False`` only returns them.
+With no active tape, ops are plain numpy (inference mode).
 
-A tape is single-writer: concurrent forward passes need separate tapes (the
-active tape is tracked per thread). Tensors without gradients are immutable
-as far as this module is concerned and safe to share for reading.
+A tape is single-writer: concurrent passes need separate tapes (the active
+tape is tracked per thread), and separate tapes also mean separate gradient
+stores: while it replays, a tape accumulates into its own store, never into a
+shared ``Tensor.grad``, so two threads can run backward over the same
+parameters at once. Tensors without gradients are immutable as far as this
+module is concerned and safe to share for reading.
 """
 
 from __future__ import annotations
@@ -123,28 +126,48 @@ class Tape:
     def record(self, out: Tensor, backward) -> None:
         self._records.append((out, backward))
 
-    def backward(self, loss: Tensor) -> None:
-        """Fill .grad for every leaf reachable from loss, consuming the tape:
-        each record is popped as it is replayed and its output's .grad dropped
-        once its rule has run, so only leaf (parameter, input) gradients survive."""
+    def backward(self, loss: Tensor, fill_grad: bool = True) -> dict[Tensor, np.ndarray]:
+        """Return this tape's gradient of every leaf reachable from loss and,
+        with fill_grad, add each into the leaf's .grad. Consumes the tape:
+        each record is popped as it is replayed and its output's gradient
+        dropped from the tape's store once its rule has run, so only leaf
+        (parameter, input) gradients survive. Without fill_grad no .grad is
+        read or written."""
         if self._consumed:
             raise TapeError("backward already ran on this tape; rebuild the forward pass first")
         if loss.data.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
         self._consumed = True
-        loss.grad = np.ones_like(loss.data)
-        while self._records:
-            out, fn = self._records.pop()
-            if out.grad is not None:
-                fn(out.grad)
-                out.grad = None
+        grads = {loss: np.ones_like(loss.data)}
+        outer, _tls.grads = getattr(_tls, "grads", None), grads
+        try:
+            while self._records:
+                out, fn = self._records.pop()
+                g = grads.pop(out, None)
+                if g is not None:
+                    fn(g)
+        finally:
+            _tls.grads = outer
+        if fill_grad:
+            for t, g in grads.items():
+                if t.grad is None:
+                    t.grad = g
+                else:
+                    t.grad += g
+        return grads
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g to t's gradient in the store of the tape replaying on this thread.
+    A fresh g (a new array nothing else holds) of t's dtype is stored as it
+    is; any other g (shared, a view, or a numpy scalar) is copied on first use."""
+    grads = _tls.grads
+    have = grads.get(t)
+    if have is None:
+        owned = fresh and isinstance(g, np.ndarray) and g.dtype == t.data.dtype
+        grads[t] = g if owned else np.array(g, dtype=t.data.dtype, copy=True)
     else:
-        t.grad += g
+        have += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -196,10 +219,10 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape), fresh=True)
         if b.requires_grad:
             _accum(b, _weight_grad(a.data, g) if b.ndim == 2
-                   else _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+                   else _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape), fresh=True)
 
     return _make(out, (a, b), backward)
 
@@ -229,9 +252,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
+            _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+            _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _make(out, (a, b), backward)
 
@@ -243,7 +266,7 @@ def scale(x, k: float) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, g * k)
+            _accum(x, g * k, fresh=True)
 
     return _make(x.data * k, (x,), backward)
 
@@ -254,7 +277,7 @@ def relu(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, g * (x.data > 0))
+            _accum(x, g * (x.data > 0), fresh=True)
 
     return _make(out, (x,), backward)
 
@@ -270,7 +293,7 @@ def sigmoid(x) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, g * out * (1.0 - out))
+            _accum(x, g * out * (1.0 - out), fresh=True)
 
     return _make(out, (x,), backward)
 
@@ -292,7 +315,7 @@ def softmax(x, mask: np.ndarray | None = None) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, out * (g - (out * g).sum(axis=-1, keepdims=True)))
+            _accum(x, out * (g - (out * g).sum(axis=-1, keepdims=True)), fresh=True)
 
     return _make(out, (x,), backward)
 
@@ -311,14 +334,14 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
 
     def backward(g):
         if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
+            _accum(gain, (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0), fresh=True)
         if bias.requires_grad:
-            _accum(bias, g.reshape(-1, x.shape[-1]).sum(axis=0))
+            _accum(bias, g.reshape(-1, x.shape[-1]).sum(axis=0), fresh=True)
         if x.requires_grad:
             dxhat = g * gain.data
             gx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
                   - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
-            _accum(x, gx)
+            _accum(x, gx, fresh=True)
 
     return _make(out, (x, gain, bias), backward)
 
@@ -336,9 +359,10 @@ def embedding(table, ids) -> Tensor:
 
     def backward(g):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
+            grads = _tls.grads
+            if table not in grads:
+                grads[table] = np.zeros_like(table.data)
+            np.add.at(grads[table], ids, g)
 
     return _make(out, (table,), backward)
 
@@ -373,7 +397,7 @@ def dropout(x, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, g * keep)
+            _accum(x, g * keep, fresh=True)
 
     return _make(out, (x,), backward)
 
@@ -410,7 +434,7 @@ def cross_entropy(logits, targets, token_mask=None, label_smoothing: float = 0.0
             q = np.full_like(p, s / vocab)
             np.put_along_axis(q, targets[..., None], 1.0 - s + s / vocab, axis=-1)
             grad = (p - q) * (m / n_tokens)[..., None] * g
-            _accum(logits, grad)
+            _accum(logits, grad, fresh=True)
 
     return _make(out, (logits,), backward)
 

@@ -1,14 +1,20 @@
 """Training loop: Adam with the inverse-square-root warmup schedule,
 token-budget batching, periodic dev evaluation and checkpointing.
 
-Runs are deterministic for a fixed seed: batch order, dropout, and parameter
-trajectories reproduce bit-identically.
+A large batch is split into SHARDS fixed row shards whose forward and backward
+passes run at once on two threads when the machine allows it (see
+`shard_workers`); the shard gradients are added in shard order, then clipped,
+then one Adam step is taken. Runs are deterministic for a fixed seed: batch
+order, dropout, and parameter trajectories reproduce bit-identically, whatever
+the number of workers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +23,12 @@ from . import autodiff as ad
 from .data import Example
 from .model import Transformer, save_checkpoint
 from .vocab import PAD
+
+
+SHARDS = 2
+# a batch is split into shards only from this many padded cells,
+# rows x (source + context + target widths); below it two threads lose to one
+SHARD_MIN_CELLS = 4096
 
 
 class TrainerError(RuntimeError):
@@ -180,6 +192,157 @@ def make_batches(examples: list[Example], token_budget: int,
 
 
 # ---------------------------------------------------------------------------
+# the sharded step
+# ---------------------------------------------------------------------------
+
+
+def _repad(ids: np.ndarray) -> np.ndarray:
+    """ids without the trailing columns that are PAD in every row."""
+    used = (ids != PAD).any(axis=0).nonzero()[0]
+    return ids[:, :int(used.max(initial=0)) + 1]
+
+
+def shard_batch(batch: Batch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(src, tgt, ctx) of each shard: rows k::SHARDS, each repadded to its own
+    widths. Batches are length-sorted, so the shards get the same length mix.
+    A batch under SHARD_MIN_CELLS padded cells is one shard. The rule reads
+    only the batch, never the number of workers."""
+    rows = batch.src.shape[0]
+    cells = rows * (batch.src.shape[1] + batch.ctx.shape[1] + batch.tgt.shape[1])
+    if rows < SHARDS or cells < SHARD_MIN_CELLS:
+        return [(batch.src, batch.tgt, batch.ctx)]
+    return [(_repad(batch.src[k::SHARDS]), _repad(batch.tgt[k::SHARDS]),
+             _repad(batch.ctx[k::SHARDS])) for k in range(SHARDS)]
+
+
+def shard_workers() -> int:
+    """2 when the process may use two CPUs and BLAS is pinned to one thread
+    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1), else 1. Concurrent
+    calls into a multi-threaded BLAS pool contend, and then one thread wins."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    return SHARDS if cpus >= 2 and (blas or "").strip() == "1" else 1
+
+
+class _Worker:
+    """One extra thread running the calls handed to it, one at a time; it is
+    joined on leaving the `with` block."""
+
+    def __init__(self):
+        self._call, self._result, self._ran = None, None, False
+        self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._loop, name="ctxnmt-shard", daemon=True)
+        self._thread.start()
+
+    def _loop(self) -> None:
+        while True:
+            self._todo.acquire()
+            if self._call is None:
+                return
+            try:
+                self._result = (self._call(), None)
+            except BaseException as exc:  # handed to the waiting thread
+                self._result = (None, exc)
+            self._done.release()
+
+    def start(self, call) -> None:
+        self._call, self._ran = call, True
+        self._todo.release()
+
+    def wait(self):
+        """(value, exception) of the call last started."""
+        self._done.acquire()
+        result, self._result = self._result, None
+        return result
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._call = None
+        self._todo.release()
+        self._thread.join()
+        if self._ran:
+            _release_freed_memory()
+        return False
+
+
+def _release_freed_memory() -> None:
+    """Return the free pages of every malloc arena to the OS (glibc's
+    malloc_trim; elsewhere nothing). glibc gives the worker thread an arena
+    of its own, and what the thread freed there otherwise stays resident
+    after it ends (about 75 MB after training on a subtitle corpus), on top
+    of every later allocation."""
+    import ctypes  # numpy has loaded it already
+
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
+def _shard_pass(model: Transformer, src, tgt, ctx, share: float, rng):
+    """(loss, leaf gradients) of one shard, its loss scaled by its share of
+    the batch's target tokens; the gradients come from the tape's own store,
+    and are None for a loss that is not finite."""
+    with ad.Tape() as tape:
+        loss = model.loss(src, tgt, ctx_ids=ctx, train=True, rng=rng)
+        if share != 1.0:
+            loss = ad.scale(loss, share)
+    if not np.isfinite(loss.data):
+        return float(loss.data), None
+    return float(loss.data), tape.backward(loss, fill_grad=False)
+
+
+def _dropout_rng(seed: np.random.SeedSequence, step_num: int, shard: int):
+    """The dropout stream of one shard of one step: a child of seed keyed by
+    (step_num, shard), so it does not depend on which thread draws it."""
+    return np.random.default_rng(np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key + (step_num, shard)))
+
+
+def batch_gradients(model: Transformer, batch: Batch, drop_seed: np.random.SeedSequence,
+                    step_num: int, worker: _Worker | None = None) -> float:
+    """Set .grad of every parameter to the batch's gradient, the shards'
+    gradients added in shard order, and return the batch loss (if it is not
+    finite, no .grad is set). With a worker, the last shard runs on its
+    thread while this thread runs the others."""
+    shards = shard_batch(batch)
+    counts = [int((tgt[:, 1:] != PAD).sum()) for _, tgt, _ in shards]
+    total = sum(counts) or 1  # no target token: cross_entropy raises
+    calls = [lambda k=k: _shard_pass(model, *shards[k], counts[k] / total,
+                                     _dropout_rng(drop_seed, step_num, k))
+             for k in range(len(shards))]
+    if worker is None or len(calls) == 1:
+        results = [call() for call in calls]
+    else:
+        worker.start(calls[-1])
+        try:
+            results = [call() for call in calls[:-1]]
+        finally:
+            last, exc = worker.wait()
+        if exc is not None:
+            raise exc
+        results.append(last)
+    loss = sum(value for value, _ in results)
+    if not math.isfinite(loss):
+        return loss
+    summed = results[0][1]
+    for _, grads in results[1:]:
+        for t, g in grads.items():
+            if t in summed:
+                summed[t] += g
+            else:
+                summed[t] = g
+    for t, g in summed.items():
+        t.grad = g
+    return loss
+
+
+# ---------------------------------------------------------------------------
 # the loop
 # ---------------------------------------------------------------------------
 
@@ -224,33 +387,30 @@ def train(model: Transformer, train_examples: list[Example],
     last_path = os.path.join(out_dir, "last.ckpt")
     best_path = os.path.join(out_dir, "best.ckpt")
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    order_rng = np.random.default_rng(seeds[0])
-    drop_rng = np.random.default_rng(seeds[1])
+    order_seed, drop_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    order_rng = np.random.default_rng(order_seed)
 
     dev_batches = make_batches(dev_examples, cfg.token_budget) if dev_examples else None
     state = TrainState()
     train_loss = math.nan
     wrote_best = False
 
-    with open(metrics_path, "w", encoding="utf-8") as metrics:
+    with (_Worker() if shard_workers() > 1 else contextlib.nullcontext()) as worker, \
+            open(metrics_path, "w", encoding="utf-8") as metrics:
         metrics.write("step\tlr\ttrain_loss\tdev_loss\n")
         while state.step_num < cfg.max_steps:
             for batch in make_batches(train_examples, cfg.token_budget, order_rng):
-                with ad.Tape() as tape:
-                    loss = model.loss(batch.src, batch.tgt, ctx_ids=batch.ctx,
-                                      train=True, rng=drop_rng)
-                if not np.isfinite(loss.data):
+                loss = batch_gradients(model, batch, drop_seed, state.step_num + 1, worker)
+                if not math.isfinite(loss):
                     # keep the last periodic checkpoint untouched
                     kept = last_path if os.path.exists(last_path) else "none written yet"
                     raise NonFiniteError(
                         f"loss became non-finite at step {state.step_num + 1}; "
                         f"last good checkpoint: {kept}")
-                tape.backward(loss)
                 clip_global_norm(model.store.tensors(), cfg.grad_clip)
                 lr = noam_lr(state.step_num + 1, cfg.d_model, cfg.warmup_steps)
                 adam_step(model, state, lr, cfg)
-                train_loss = float(loss.data)
+                train_loss = loss
 
                 dev_loss = ""
                 if state.step_num % cfg.checkpoint_every == 0 or state.step_num == cfg.max_steps:

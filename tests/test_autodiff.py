@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -195,6 +197,60 @@ def test_backward_consumes_tape_and_keeps_only_leaf_grads():
     np.testing.assert_allclose(w.grad, x.data.T @ dh)
     with pytest.raises(ad.TapeError):
         tape.backward(loss)
+
+
+@pytest.mark.parametrize("later_use", [False, True], ids=["add(x, x)", "add(a, b) then a"])
+def test_shared_incoming_gradient_is_never_aliased(later_use):
+    """_accum keeps a fresh gradient array without copying it, but add hands
+    one incoming gradient to both its inputs, so that one is copied: adding a
+    later contribution into a's gradient must not change b's. Checked against
+    float64 analytic values."""
+    rng = np.random.default_rng(3)
+    v, w = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    a = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    with ad.Tape() as tape:
+        if later_use:  # a's other use is replayed after the add
+            u = ad.reduce_sum(ad.mul(a, v))
+            loss = ad.add(u, ad.reduce_sum(ad.mul(ad.add(a, b), w)))
+        else:
+            loss = ad.reduce_sum(ad.mul(ad.add(a, a), w))
+    tape.backward(loss)
+    if later_use:
+        np.testing.assert_array_equal(a.grad, w + v)
+        np.testing.assert_array_equal(b.grad, w)
+    else:
+        np.testing.assert_array_equal(a.grad, 2.0 * w)
+        assert b.grad is None
+
+
+def test_backward_without_fill_grad_touches_no_grad():
+    """fill_grad=False returns the tape's leaf gradients from its own store
+    and leaves .grad alone; two such tapes over the same parameters can
+    replay on two threads at once and give the gradients of one thread."""
+    rng = np.random.default_rng(4)
+    w = ad.Tensor(rng.normal(size=(8, 8)), requires_grad=True)
+    w.grad = np.full((8, 8), 7.0)
+    xs = [rng.normal(size=(300, 8)) for _ in range(2)]
+
+    def grads_of(x):
+        with ad.Tape() as tape:
+            loss = ad.reduce_sum(ad.mul(ad.relu(ad.matmul(ad.Tensor(x), w)), 0.5))
+        return tape.backward(loss, fill_grad=False)
+
+    alone = [grads_of(x) for x in xs]
+    together = [None, None]
+    threads = [threading.Thread(target=lambda k=k: together.__setitem__(k, grads_of(xs[k])))
+               for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    np.testing.assert_array_equal(w.grad, np.full((8, 8), 7.0))
+    for x, one, two in zip(xs, alone, together):
+        assert list(one) == list(two) == [w]
+        np.testing.assert_array_equal(one[w], two[w])
+        np.testing.assert_allclose(one[w], 0.5 * x.T @ (x @ w.data > 0), rtol=1e-12)
 
 
 def test_nonscalar_loss_raises():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from ctxnmt import autodiff as ad
 from ctxnmt import trainer as tr
 from ctxnmt.data import Example
-from ctxnmt.model import ModelConfig, Transformer, load_checkpoint
-from ctxnmt.vocab import EOS, TBOS, TEOS
+from ctxnmt.model import ModelConfig, ModelError, Transformer, load_checkpoint
+from ctxnmt.vocab import BOS, EOS, TBOS, TEOS
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +141,12 @@ def test_clip_global_norm_no_op_below_threshold():
 
 
 _SEEDED_STEPS = """
-import hashlib
+import hashlib, tempfile
 import numpy as np
 from ctxnmt import autodiff as ad, trainer as tr
+from ctxnmt.data import Example
 from ctxnmt.model import ModelConfig, Transformer
-from ctxnmt.vocab import BOS
+from ctxnmt.vocab import BOS, EOS, TBOS, TEOS
 for vocab in (60, 600):
     for mode in ("none", "gated-context", "concat"):
         config = ModelConfig(n_layers=2, n_heads=4, d_model=64, d_ff=128, src_vocab=60,
@@ -162,14 +164,35 @@ for vocab in (60, 600):
             tr.adam_step(model, state, 1e-3, tr.OptimizerConfig(d_model=64))
         digest = hashlib.sha256(b"".join(p.data.tobytes() for p in model.store.tensors()))
         print(vocab, mode, digest.hexdigest())
+# the trainer's sharded step: one batch of 320 rows of mixed lengths, over
+# SHARD_MIN_CELLS, so every step runs two shards (on two threads when
+# tr.shard_workers() is 2, inline when it is 1)
+rng = np.random.default_rng(2)
+ids = lambda lo, hi: rng.integers(6, 60, int(rng.integers(lo, hi))).tolist()
+examples = [Example(str(i), [BOS] + ids(1, 7), ids(2, 6) + [EOS], [TBOS] + ids(2, 6) + [TEOS])
+            for i in range(320)]
+(batch,) = tr.make_batches(examples, 10 ** 6)
+print("shards", len(tr.shard_batch(batch)), "workers", tr.shard_workers())
+for mode in ("none", "gated-context", "concat"):
+    config = ModelConfig(n_layers=2, n_heads=4, d_model=64, d_ff=128, src_vocab=60,
+                         tgt_vocab=60, dropout=0.1, label_smoothing=0.1,
+                         max_len=16, context_mode=mode)
+    model = Transformer(config, np.random.default_rng(0))
+    with tempfile.TemporaryDirectory() as out:
+        tr.train(model, examples, None, tr.OptimizerConfig(
+            d_model=64, warmup_steps=10, token_budget=10 ** 6, max_steps=3, seed=4), out)
+    digest = hashlib.sha256(b"".join(p.data.tobytes() for p in model.store.tensors()))
+    print("sharded", mode, digest.hexdigest())
 """
 
 
 def test_trained_bytes_do_not_depend_on_blas_thread_count():
     """Seeded steps on 300-row batches (over 1,200 flattened rows, where one
     weight-gradient product over all rows changes with the thread count)
-    give the same parameter bytes at 1 and 2 BLAS threads. The thread count
-    is read when numpy loads, so each run is its own process."""
+    give the same parameter bytes at 1 and 2 BLAS threads. So do the
+    trainer's sharded steps, which at 1 BLAS thread also run on two worker
+    threads (given two CPUs) and on one at 2. The thread count is read when
+    numpy loads, so each run is its own process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tr.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = []
@@ -178,7 +201,11 @@ def test_trained_bytes_do_not_depend_on_blas_thread_count():
         proc = subprocess.run([sys.executable, "-c", _SEEDED_STEPS], env=env,
                               capture_output=True, text=True, check=True)
         digests.append(proc.stdout.splitlines())
-    assert len(digests[0]) == 6 and digests[0] == digests[1]
+    workers = [d.pop(6) for d in digests]
+    two_cpus = len(os.sched_getaffinity(0)) >= 2 if hasattr(os, "sched_getaffinity") \
+        else (os.cpu_count() or 1) >= 2
+    assert workers == [f"shards 2 workers {2 if two_cpus else 1}", "shards 2 workers 1"]
+    assert len(digests[0]) == 9 and digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +402,84 @@ def test_evaluate_loss_token_weighted():
     split = tr.make_batches(data, 4)
     assert tr.evaluate_loss(model, joint) == pytest.approx(
         tr.evaluate_loss(model, split), rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the sharded step
+# ---------------------------------------------------------------------------
+
+
+def _wide_dataset(n=300, vocab=16, seed=0):
+    """n examples of mixed lengths whose one batch passes SHARD_MIN_CELLS;
+    the last one is the longest in every stream and sorts last, so the shard
+    without it is narrower than the batch."""
+    rng = np.random.default_rng(seed)
+
+    def ids(lo, hi):
+        return rng.integers(6, vocab, int(rng.integers(lo, hi))).tolist()
+
+    out = [Example(str(i), [BOS] + ids(1, 7), ids(2, 6) + [EOS], [TBOS] + ids(2, 6) + [TEOS])
+           for i in range(n - 1)]
+    return out + [Example(str(n - 1), [BOS] + ids(9, 10), ids(8, 9) + [EOS],
+                          [TBOS] + ids(8, 9) + [TEOS])]
+
+
+def test_shard_batch_splits_only_large_batches():
+    (wide,) = tr.make_batches(_wide_dataset(), 10 ** 6)
+    shards = tr.shard_batch(wide)
+    assert len(shards) == 2
+    assert all(a.shape[1] < b.shape[1] for a, b in zip(shards[0], (wide.src, wide.tgt, wide.ctx)))
+    for k, (src, tgt, ctx) in enumerate(shards):
+        for part, whole in ((src, wide.src), (tgt, wide.tgt), (ctx, wide.ctx)):
+            rows = whole[k::2]
+            assert part.shape[1] <= whole.shape[1]
+            assert (part != 0).any(axis=0)[-1]  # repadded to its own width
+            np.testing.assert_array_equal(part, rows[:, :part.shape[1]])
+            assert (rows[:, part.shape[1]:] == 0).all()
+    (small,) = tr.make_batches(_toy_dataset(), 100)
+    assert len(tr.shard_batch(small)) == 1
+
+
+@pytest.mark.parametrize("mode", ["none", "gated-context", "concat"])
+def test_shard_gradients_sum_to_whole_batch_gradient(mode):
+    """In float64, the loss and gradient summed over the shards equal those
+    of one tape over the whole batch, label smoothing included."""
+    model = Transformer(_tiny_config(context_mode=mode, label_smoothing=0.1),
+                        np.random.default_rng(6), dtype=np.float64)
+    (batch,) = tr.make_batches(_wide_dataset(), 10 ** 6)
+    assert len(tr.shard_batch(batch)) == 2
+    loss = tr.batch_gradients(model, batch, np.random.SeedSequence(0), 1)
+    sharded = {name: p.grad for name, p in model.store.items()}
+    model.store.clear_grads()
+    with ad.Tape() as tape:
+        whole = model.loss(batch.src, batch.tgt, ctx_ids=batch.ctx, train=True,
+                           rng=np.random.default_rng(0))
+    tape.backward(whole)
+    assert loss == pytest.approx(float(whole.data), rel=1e-10)
+    for name, p in model.store.items():
+        assert np.abs(sharded[name] - p.grad).max() <= 1e-10 * np.abs(p.grad).max(), name
+
+
+@pytest.mark.parametrize("on_worker", [False, True], ids=["first shard", "second shard"])
+def test_shard_failure_surfaces_and_joins_the_worker(tmp_path, monkeypatch, on_worker):
+    """A shard that raises, on this thread or on the worker's, surfaces from
+    train as its own exception type, and no thread outlives train."""
+    loss, ran_on = Transformer.loss, []
+
+    def failing(self, *args, **kwargs):
+        worker = threading.current_thread() is not threading.main_thread()
+        ran_on.append(worker)
+        if worker == on_worker:
+            raise ModelError("shard failed")
+        return loss(self, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "shard_workers", lambda: 2)
+    monkeypatch.setattr(Transformer, "loss", failing)
+    model = Transformer(_tiny_config(), np.random.default_rng(1))
+    cfg = tr.OptimizerConfig(d_model=32, warmup_steps=10, token_budget=10 ** 6,
+                             max_steps=3, seed=3)
+    before = threading.active_count()
+    with pytest.raises(ModelError, match="shard failed"):
+        tr.train(model, _wide_dataset(), None, cfg, str(tmp_path))
+    assert threading.active_count() == before
+    assert sorted(ran_on) == [False, True]
