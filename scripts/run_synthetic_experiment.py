@@ -12,7 +12,8 @@ The defaults are sized for a laptop CPU: 20k train / 2k test examples, 40
 nouns, distractor probability 0.5, and 2-layer models with d_model 64.
 Regularization defaults to off; the closed synthetic language cannot
 overfit, and dropout noise disperses the context attention this experiment
-measures. Use --quick for a fast shakedown run.
+measures. Use --quick for a fast shakedown run: a smoke test that the
+pipeline runs, too small to show the gated model's gain.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def main() -> int:
         ap.add_argument("--" + field.name.replace("_", "-"),
                         type=type(field.default), default=field.default)
     ap.add_argument("--quick", action="store_true",
-                    help="tiny sizes and step counts for a shakedown run")
+                    help="tiny sizes and step counts for a shakedown run; a smoke "
+                         "test that does not show the gated model's gain")
     args = ap.parse_args()
     if args.quick:
         args.train_size, args.test_size, args.steps, args.warmup = 600, 100, 150, 40

@@ -23,6 +23,7 @@ import numpy as np
 
 LAYER_NORM_EPS = 1e-6
 WEIGHT_GRAD_BLOCK = 256
+ROW_KERNEL_MIN_ROWS = 256  # rows from which _row_max halves columns
 
 _tls = threading.local()
 
@@ -227,6 +228,73 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
+def linear(x, w, b=None) -> Tensor:
+    """x @ w + b in one record: x (..., k), w (k, n), b (n,) or None."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
+    if x.ndim < 2 or w.ndim != 2 or (b is not None and b.shape != w.shape[1:]):
+        raise ShapeError("linear", x.shape, w.shape, *(() if b is None else (b.shape,)))
+    try:
+        out = x.data @ w.data
+    except ValueError:
+        raise ShapeError("linear", x.shape, w.shape) from None
+    if b is not None:
+        out += b.data
+
+    def backward(g):
+        if x.requires_grad:  # one product per leading index: unlike a single flattened
+            _accum(x, g @ w.data.T, fresh=True)  # 2-D product, thread-count-stable bytes
+        if w.requires_grad:
+            _accum(w, _weight_grad(x.data, g), fresh=True)
+        if b is not None and b.requires_grad:
+            _accum(b, g.reshape(-1, g.shape[-1]).sum(axis=0), fresh=True)
+
+    return _make(out, (x, w) if b is None else (x, w, b), backward)
+
+
+def attention(q, k, v, n_heads: int, scale: float, mask: np.ndarray | None = None
+              ) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention in one record.
+
+    q (B, Tq, D), k and v (B, Tk, D), each split into n_heads heads of D /
+    n_heads; a True entry of mask (broadcast to (B, n_heads, Tq, Tk)) blocks
+    that key. Returns the heads' outputs merged back to (B, Tq, D) and the
+    probabilities (B, n_heads, Tq, Tk) as a plain array. The scores are
+    scaled and softmaxed in place, and backward keeps only q, k, v and the
+    probabilities."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or k.shape[0] != q.shape[0] \
+            or k.shape[2] != q.shape[2] or q.shape[2] % n_heads:
+        raise ShapeError("attention", q.shape, k.shape, v.shape)
+
+    def heads(a):  # (B, T, D) -> (B, h, T, D / h), a view
+        return a.reshape(a.shape[0], a.shape[1], n_heads, -1).transpose(0, 2, 1, 3)
+
+    def merge(a):  # (B, h, T, D / h) -> (B, T, D)
+        return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], -1)
+
+    p = heads(q.data) @ heads(k.data).transpose(0, 1, 3, 2)
+    p *= scale
+    _softmax(p, mask, "attention", inplace=True)
+    out = merge(p @ heads(v.data))
+
+    def backward(g):
+        gh = heads(g)
+        if v.requires_grad:
+            _accum(v, merge(p.transpose(0, 1, 3, 2) @ gh), fresh=True)
+        if q.requires_grad or k.requires_grad:
+            ds = gh @ heads(v.data).transpose(0, 1, 3, 2)  # d p, then d scores
+            ds -= _row_sum(p, ds)
+            ds *= p
+            ds *= scale
+            if q.requires_grad:
+                _accum(q, merge(ds @ heads(k.data)), fresh=True)
+            if k.requires_grad:
+                _accum(k, merge(ds.transpose(0, 1, 3, 2) @ heads(q.data)), fresh=True)
+
+    return _make(out, (q, k, v), backward), p
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -285,11 +353,9 @@ def relu(x) -> Tensor:
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     z = x.data
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))  # exp(-z) for z >= 0, exp(z) below: neither overflows
+    d = 1 + e
+    out = np.where(z >= 0, 1 / d, e / d)
 
     def backward(g):
         if x.requires_grad:
@@ -298,24 +364,54 @@ def sigmoid(x) -> Tensor:
     return _make(out, (x,), backward)
 
 
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """Max over the last axis, keepdims, exact. Over many rows it takes
+    np.maximum of the two (overlapping) halves until one column is left: a
+    few whole-array passes in place of numpy's loop over short rows."""
+    if z.size < ROW_KERNEL_MIN_ROWS * z.shape[-1]:
+        return z.max(axis=-1, keepdims=True)
+    while z.shape[-1] > 1:
+        n = z.shape[-1]
+        z = np.maximum(z[..., :(n + 1) // 2], z[..., n // 2:])
+    return z
+
+
+def _row_sum(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the last axis of a, or of a * b, keepdims; einsum calls no BLAS
+    and makes no product temporary."""
+    out = np.einsum("...k->...", a) if b is None else np.einsum("...k,...k->...", a, b)
+    return out[..., None]
+
+
+def _softmax(z: np.ndarray, mask: np.ndarray | None, op: str, inplace: bool) -> np.ndarray:
+    """Softmax over the last axis of z; a True mask entry gets weight 0. With
+    inplace, z (an array the caller just made) is overwritten and returned."""
+    if mask is not None:
+        # the constant in z's dtype: an untyped -inf would promote float32 scores
+        blocked = np.where(mask, z.dtype.type(-np.inf), z.dtype.type(0))
+        try:
+            z = np.add(z, blocked, out=z if inplace else None)
+        except ValueError:
+            raise ShapeError(op, z.shape, mask.shape) from None
+        if mask.all(axis=-1).any():
+            raise MaskError(f"{op}: at least one row is fully masked")
+        inplace = True
+    z = np.subtract(z, _row_max(z), out=z if inplace else None)
+    np.exp(z, out=z)
+    z /= _row_sum(z)
+    return z
+
+
 def softmax(x, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis; a True mask entry blocks that position."""
     x = _as_tensor(x)
-    z = x.data
-    if mask is not None:
-        try:
-            z = np.where(mask, -np.inf, z)
-        except ValueError:
-            raise ShapeError("softmax", x.shape, mask.shape) from None
-        if mask.all(axis=-1).any():
-            raise MaskError("softmax: at least one row is fully masked")
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(x.data, mask, "softmax", inplace=False)
 
     def backward(g):
         if x.requires_grad:
-            _accum(x, out * (g - (out * g).sum(axis=-1, keepdims=True)), fresh=True)
+            gx = g - _row_sum(out, g)
+            gx *= out
+            _accum(x, gx, fresh=True)
 
     return _make(out, (x,), backward)
 
@@ -325,12 +421,12 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError("layer_norm", x.shape, gain.shape, bias.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    inv_d = 1.0 / x.shape[-1]
+    xhat = x.data - _row_sum(x.data) * inv_d  # centred, then scaled in place
+    inv = 1.0 / np.sqrt(_row_sum(xhat, xhat) * inv_d + eps)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def backward(g):
         if gain.requires_grad:
@@ -338,9 +434,11 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
         if bias.requires_grad:
             _accum(bias, g.reshape(-1, x.shape[-1]).sum(axis=0), fresh=True)
         if x.requires_grad:
-            dxhat = g * gain.data
-            gx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+            gx = g * gain.data
+            shift, tilt = _row_sum(gx) * inv_d, _row_sum(gx, xhat) * inv_d
+            gx -= shift
+            gx -= xhat * tilt
+            gx *= inv
             _accum(x, gx, fresh=True)
 
     return _make(out, (x, gain, bias), backward)
@@ -358,11 +456,16 @@ def embedding(table, ids) -> Tensor:
     out = table.data[ids]
 
     def backward(g):
-        if table.requires_grad:
-            grads = _tls.grads
-            if table not in grads:
-                grads[table] = np.zeros_like(table.data)
-            np.add.at(grads[table], ids, g)
+        if table.requires_grad:  # a segment sum over the ids in stable sorted order
+            flat = ids.reshape(-1).astype(np.intp, copy=False)
+            order = np.argsort(flat, kind="stable")
+            ranked = flat[order]
+            starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+            grad = np.zeros_like(table.data)
+            if starts.size:
+                grad[ranked[starts]] = np.add.reduceat(
+                    g.reshape(-1, g.shape[-1])[order], starts, axis=0)
+            _accum(table, grad, fresh=True)
 
     return _make(out, (table,), backward)
 
@@ -437,28 +540,6 @@ def cross_entropy(logits, targets, token_mask=None, label_smoothing: float = 0.0
             _accum(logits, grad, fresh=True)
 
     return _make(out, (logits,), backward)
-
-
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    out = x.data.reshape(shape)
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g.reshape(x.shape))
-
-    return _make(out, (x,), backward)
-
-
-def transpose(x, axes) -> Tensor:
-    x = _as_tensor(x)
-    inv = np.argsort(axes)
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g.transpose(inv))
-
-    return _make(x.data.transpose(axes), (x,), backward)
 
 
 def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:

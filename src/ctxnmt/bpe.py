@@ -28,11 +28,37 @@ class BpeError(ValueError):
     pass
 
 
+class _Merges(list):
+    """A list that counts the calls that may change it, so that a model can
+    tell its merges changed without comparing them."""
+    version = 0
+
+
+def _counted(name: str):
+    change = getattr(list, name)
+
+    def method(self, *args, **kwargs):
+        self.version += 1
+        return change(self, *args, **kwargs)
+    return method
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "clear", "sort", "reverse"):
+    setattr(_Merges, _name, _counted(_name))
+
+
 @dataclass
 class BpeModel:
     merges: list[tuple[str, str]] = field(default_factory=list)
-    # (a copy of `merges`, `_segmenter`'s two tables), rebuilt once they differ
+    # (the merges object and its version, `_segmenter`'s two tables), rebuilt
+    # when the merges are replaced or changed
     _cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "merges" and not isinstance(value, _Merges):
+            value = _Merges(value)
+        super().__setattr__(name, value)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -52,12 +78,13 @@ class BpeModel:
     def _segmenter(self) -> tuple[dict, dict]:
         """Each pair's ascending ranks in `merges` (a pair may appear more than
         once), and the pieces of every token segmented so far."""
-        if self._cache is None or self._cache[0] != self.merges:
+        key = (self.merges, self.merges.version)
+        if self._cache is None or self._cache[:2] != key:  # same object: no comparison
             ranks = collections.defaultdict(list)
             for rank, pair in enumerate(self.merges):
                 ranks[pair].append(rank)
-            self._cache = (list(self.merges), dict(ranks), {})
-        return self._cache[1], self._cache[2]
+            self._cache = key + (dict(ranks), {})
+        return self._cache[2], self._cache[3]
 
 
 def _merge_word(word: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:

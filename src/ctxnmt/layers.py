@@ -88,8 +88,7 @@ class Linear:
         self.b = store.zeros(f"{name}.b", (d_out,)) if bias else None
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
-        y = ad.matmul(x, self.w)
-        return ad.add(y, self.b) if self.b is not None else y
+        return ad.linear(x, self.w, self.b)
 
 
 class LayerNorm:
@@ -102,19 +101,19 @@ class LayerNorm:
 
 
 class MultiHeadAttention:
-    """Scaled dot-product attention over h heads.
+    """Scaled dot-product attention over h heads, one `ad.attention` record.
 
     Returns (output, weights) where weights are the per-head attention
     probabilities as a plain ndarray (B, h, Tq, Tk), detached for analysis.
-    `attend` reads the heads (B, h, T, d_head) of `query` and `project_kv`.
+    `attend` takes the query projection `wq(query_in)` and the keys and
+    values of `project_kv`, all (B, T, d_model); the heads are split inside it.
     """
 
     def __init__(self, store: ParamStore, name: str, d_model: int, n_heads: int):
         if d_model % n_heads:
             raise ValueError(f"d_model {d_model} not divisible by n_heads {n_heads}")
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
-        self.scale = float(self.d_head) ** -0.5
+        self.scale = float(d_model // n_heads) ** -0.5
         self.wq = Linear(store, f"{name}.wq", d_model, d_model)
         # no key bias: scores are softmax-normalized per row, so a constant
         # shift from a key bias cancels and the parameter would be inert
@@ -122,26 +121,17 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{name}.wv", d_model, d_model)
         self.wo = Linear(store, f"{name}.wo", d_model, d_model)
 
-    def _split(self, x: ad.Tensor) -> ad.Tensor:
-        return ad.transpose(ad.reshape(x, x.shape[:2] + (self.n_heads, self.d_head)), (0, 2, 1, 3))
-
-    def query(self, query_in: ad.Tensor) -> ad.Tensor:
-        return self._split(self.wq(query_in))
-
     def project_kv(self, kv_in: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-        return self._split(self.wk(kv_in)), self._split(self.wv(kv_in))
+        return self.wk(kv_in), self.wv(kv_in)
 
     def attend(self, q: ad.Tensor, k, v, mask: np.ndarray | None = None
                ) -> tuple[ad.Tensor, np.ndarray]:
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), self.scale)
-        attn = ad.softmax(scores, mask=mask)
-        ctx = ad.matmul(attn, v)
-        merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (q.shape[0], q.shape[2], -1))
-        return self.wo(merged), attn.data
+        out, weights = ad.attention(q, k, v, self.n_heads, self.scale, mask)
+        return self.wo(out), weights
 
     def __call__(self, query_in: ad.Tensor, kv_in: ad.Tensor,
                  mask: np.ndarray | None = None) -> tuple[ad.Tensor, np.ndarray]:
-        q = self.query(query_in)  # before the keys: the backward pass sums in reverse op order
+        q = self.wq(query_in)  # before the keys: the backward pass sums in reverse op order
         return self.attend(q, *self.project_kv(kv_in), mask)
 
 
@@ -185,12 +175,12 @@ class DecoderLayer:
         """With `cache`, this layer's [keys, values, cross keys, cross values], x is
         only the newest position: its keys and values extend the first two, and
         cross-attention reads the last two."""
-        q, (k, v) = self.self_attn.query(x), self.self_attn.project_kv(x)
+        q, (k, v) = self.self_attn.wq(x), self.self_attn.project_kv(x)
         if cache is not None:
-            k, v = cache[:2] = [np.concatenate([c, n.data], axis=2) for c, n in zip(cache, (k, v))]
+            k, v = cache[:2] = [np.concatenate([c, n.data], axis=1) for c, n in zip(cache, (k, v))]
         a, _ = self.self_attn.attend(q, k, v, self_mask)
         s = self.ln1(ad.add(x, drop(a)))
-        q = self.cross_attn.query(s)
+        q = self.cross_attn.wq(s)
         k, v = self.cross_attn.project_kv(enc_hidden) if cache is None else cache[2:]
         c, _ = self.cross_attn.attend(q, k, v, cross_mask)
         s2 = self.ln2(ad.add(s, drop(c)))

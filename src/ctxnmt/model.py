@@ -95,8 +95,9 @@ class EncoderState:
 @dataclass
 class DecodeCache:
     """What a cached ``decode_step`` reads and extends, one row per prefix: each
-    decoder layer's [keys, values, cross keys, cross values] (rows, heads, length,
-    d_head), the encoder's key mask, and which fed tokens are PAD."""
+    decoder layer's [keys, values, cross keys, cross values], projected and not
+    yet split into heads, (rows, positions, d_model); the encoder's key mask;
+    and which fed tokens are PAD."""
     layers: list[list[np.ndarray]]
     cross_mask: np.ndarray
     is_pad: np.ndarray
@@ -281,7 +282,7 @@ class Transformer:
     def new_cache(self, enc: EncoderState) -> DecodeCache:
         """An empty DecodeCache of the rows of `enc`, cross-attention projected."""
         rows, c = enc.mask.shape[0], self.config
-        empty = np.zeros((rows, c.n_heads, 0, c.d_model // c.n_heads), self.dtype)
+        empty = np.zeros((rows, 0, c.d_model), self.dtype)
         return DecodeCache([[empty, empty] + [a.data for a in dec.cross_attn.project_kv(enc.hidden)]
                             for dec in self.dec_layers], enc.mask, np.zeros((rows, 0), bool))
 

@@ -379,3 +379,173 @@ def test_layer_norm_gradients_match_finite_differences():
         return ad.reduce_sum(ad.mul(out, out))
 
     assert ad.finite_difference_check(f, [x, gain, bias], step=1e-5) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# fused ops and row kernels
+# ---------------------------------------------------------------------------
+
+
+def _two_branch_sigmoid(z):
+    """The formula sigmoid replaced: boolean-mask indexing into two branches."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bytes_equal_the_two_branch_formula(dtype):
+    grid = np.array([0.0, -0.0, 88.0, -88.0, 100.0, -100.0, 1e4, -1e4, np.inf, -np.inf])
+    z = np.concatenate([grid, np.random.default_rng(5).normal(scale=20.0, size=100_000)])
+    z = z.astype(dtype)
+    got = ad.sigmoid(ad.Tensor(z)).data
+    assert got.dtype == dtype
+    assert got.tobytes() == _two_branch_sigmoid(z).tobytes()
+
+
+@pytest.mark.parametrize("ids", [
+    np.array([3, 1, 3, 3, 0, 1]),
+    np.random.default_rng(6).integers(0, 5, size=(4, 3, 7)),
+    np.zeros((2, 0), dtype=np.int64),
+], ids=["repeated", "3-d", "empty"])
+def test_embedding_gradient_is_the_add_at_sum(ids):
+    rng = np.random.default_rng(7)
+    table = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    probe = rng.normal(size=ids.shape + (3,))
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.mul(ad.embedding(table, ids), probe))
+    tape.backward(loss)
+    expected = np.zeros((6, 3))
+    np.add.at(expected, ids, probe)
+    np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_softmax_leaves_its_input_unchanged():
+    x = np.random.default_rng(8).normal(size=(300, 4, 11))
+    kept = x.copy()
+    ad.softmax(ad.Tensor(x))
+    ad.softmax(ad.Tensor(x), mask=np.arange(11) > 8)
+    np.testing.assert_array_equal(x, kept)
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 1000])
+def test_row_max_is_exact(rows):
+    z = np.random.default_rng(rows).normal(size=(rows, 11)).astype(np.float32)
+    z[0, 3] = -np.inf
+    np.testing.assert_array_equal(ad._row_max(z), z.max(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("shape,bias", [((2, 3, 4), True), ((2, 3, 4), False),
+                                        ((3, 200, 4), True)],
+                         ids=["3-d", "no bias", "600 rows"])
+def test_linear_gradients_match_finite_differences(shape, bias):
+    """600 rows: two full weight-gradient blocks and a ragged third."""
+    rng = np.random.default_rng(sum(shape))
+    x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=5), requires_grad=True) if bias else None
+    probe = rng.normal(size=shape[:-1] + (5,))
+
+    def f(params):
+        return ad.reduce_sum(ad.mul(ad.linear(*params), probe))
+
+    assert ad.finite_difference_check(f, [x, w] + ([b] if bias else []), step=1e-5) < 1e-4
+
+
+def test_linear_counts_one_record():
+    w = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    with ad.Tape() as tape:
+        ad.linear(np.ones((1, 4, 2)), w, ad.Tensor(np.zeros(3), requires_grad=True))
+    assert len(tape) == 1
+
+
+def _attention_case(tq, tk, mask_kind, seed=0):
+    """q (2, tq, 6), k and v (2, tk, 6), three heads, and a mask: key padding
+    (the second row's last two keys), or that or-ed with a causal mask."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.normal(size=(2, t, 6)) for t in (tq, tk, tk))
+    pad = np.zeros((2, tk), dtype=bool)
+    pad[1, tk - 2:] = tk > 2
+    mask = None
+    if mask_kind == "pad":
+        mask = pad[:, None, None, :]
+    elif mask_kind == "causal|pad":
+        mask = np.triu(np.ones((tq, tk), dtype=bool), k=1)[None, None] | pad[:, None, None, :]
+    return q, k, v, mask, rng.normal(size=(2, tq, 6))
+
+
+_ATTENTION_CASES = [(4, 4, None), (4, 4, "pad"), (4, 4, "causal|pad"), (1, 5, "pad"),
+                    (3, 6, "pad"), (5, 2, None)]
+_ATTENTION_IDS = ["self", "key padding", "causal|pad", "Tq=1", "Tq<Tk", "Tq>Tk"]
+
+
+@pytest.mark.parametrize("tq,tk,mask_kind", _ATTENTION_CASES, ids=_ATTENTION_IDS)
+def test_attention_gradients_match_finite_differences(tq, tk, mask_kind):
+    q, k, v, mask, probe = _attention_case(tq, tk, mask_kind)
+    params = [ad.Tensor(a, requires_grad=True) for a in (q, k, v)]
+
+    def f(ps):
+        out, _ = ad.attention(*ps, 3, 0.5, mask)
+        return ad.reduce_sum(ad.mul(out, probe))
+
+    assert ad.finite_difference_check(f, params, step=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("tq,tk,mask_kind", _ATTENTION_CASES, ids=_ATTENTION_IDS)
+def test_attention_equals_the_unfused_composition(tq, tk, mask_kind):
+    """The one record against matmul, scale, softmax and matmul over the
+    heads as leaves (B, h, T, d_head), in float64: outputs, probabilities and
+    the gradients of q, k and v within 1e-12."""
+    q, k, v, mask, probe = _attention_case(tq, tk, mask_kind, seed=1)
+
+    def heads(a):
+        return a.reshape(2, a.shape[1], 3, 2).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(2, a.shape[2], 6)
+
+    fused = [ad.Tensor(a, requires_grad=True) for a in (q, k, v)]
+    with ad.Tape() as tape:
+        out, p = ad.attention(*fused, 3, 0.5, mask)
+        loss = ad.reduce_sum(ad.mul(out, probe))
+    tape.backward(loss)
+
+    qh, kt, vh = (ad.Tensor(np.ascontiguousarray(a), requires_grad=True)
+                  for a in (heads(q), heads(k).transpose(0, 1, 3, 2), heads(v)))
+    with ad.Tape() as tape:
+        attn = ad.softmax(ad.scale(ad.matmul(qh, kt), 0.5), mask=mask)
+        ctx = ad.matmul(attn, vh)
+        loss = ad.reduce_sum(ad.mul(ctx, heads(probe)))
+    tape.backward(loss)
+
+    tol = dict(rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.data, merge(ctx.data), **tol)
+    np.testing.assert_allclose(p, attn.data, **tol)
+    np.testing.assert_allclose(fused[0].grad, merge(qh.grad), **tol)
+    np.testing.assert_allclose(fused[1].grad, merge(kt.grad.transpose(0, 1, 3, 2)), **tol)
+    np.testing.assert_allclose(fused[2].grad, merge(vh.grad), **tol)
+
+
+def test_attention_keeps_float32_and_counts_one_record():
+    rng = np.random.default_rng(2)
+    q, k, v = (ad.Tensor(rng.normal(size=(2, 3, 8)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    mask = np.array([False, False, True])[None, None, None, :]
+    with ad.Tape() as tape:
+        out, p = ad.attention(q, k, v, 2, 0.5, mask)
+    assert len(tape) == 1
+    assert out.data.dtype == p.dtype == np.float32
+    assert (p[..., 2] == 0).all()
+
+
+def test_attention_rejects_a_fully_masked_row_and_bad_shapes():
+    x = ad.Tensor(np.zeros((1, 2, 4)))
+    with pytest.raises(ad.MaskError):
+        ad.attention(x, x, x, 2, 1.0, np.ones((1, 1, 1, 2), dtype=bool))
+    with pytest.raises(ad.ShapeError):
+        ad.attention(x, x, ad.Tensor(np.zeros((1, 3, 4))), 2, 1.0)
+    with pytest.raises(ad.ShapeError):
+        ad.attention(x, x, x, 3, 1.0)

@@ -204,6 +204,22 @@ def test_segmentation_follows_changed_merges():
     assert bpe.apply_bpe(model, ["abc"]) == ["a@@", "b@@", "c"]
 
 
+@pytest.mark.parametrize("change", [
+    lambda m: m.extend([("ab", "c")]), lambda m: m.insert(0, ("b", "c")),
+    lambda m: m.__iadd__([("ab", "c")]), lambda m: m.__setitem__(slice(0, 1), [("b", "c")]),
+    lambda m: m.pop(), lambda m: m.remove(("a", "b")), lambda m: m.clear(),
+    lambda m: m.__delitem__(0), lambda m: m.__imul__(0),
+], ids=["extend", "insert", "+=", "slice", "pop", "remove", "clear", "del", "*=0"])
+def test_tables_rebuild_after_any_change_to_merges(change):
+    """The segmenter's tables are rebuilt after the merges change in place,
+    without comparing the list on every call."""
+    model = bpe.BpeModel([("a", "b")])
+    assert bpe.apply_bpe(model, ["abc"]) == ["ab@@", "c"]
+    change(model.merges)
+    assert bpe.apply_bpe(model, ["abc"]) == _reference_apply_bpe(list(model.merges), ["abc"])
+    assert bpe.apply_bpe(model, ["abc"]) != ["ab@@", "c"]
+
+
 def test_empty_token_has_no_pieces():
     model = bpe.learn_bpe(["low low lower"], 3)
     assert bpe.segment_word(model, "") == []
