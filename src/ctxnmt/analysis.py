@@ -132,6 +132,8 @@ def top_context_words(records: list[AttentionRecord], min_count: int = 10,
     """
     if position_filter not in ("all", "after_first"):
         raise AnalysisError(f"position_filter must be all|after_first, got {position_filter!r}")
+    if k < 1:
+        raise AnalysisError(f"k must be >= 1, got {k}")
     mass_sum: dict[str, float] = {}
     pos_sum: dict[str, float] = {}
     counts: dict[str, int] = {}

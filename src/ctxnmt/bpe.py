@@ -28,37 +28,22 @@ class BpeError(ValueError):
     pass
 
 
-class _Merges(list):
-    """A list that counts the calls that may change it, so that a model can
-    tell its merges changed without comparing them."""
-    version = 0
-
-
-def _counted(name: str):
-    change = getattr(list, name)
-
-    def method(self, *args, **kwargs):
-        self.version += 1
-        return change(self, *args, **kwargs)
-    return method
-
-
-for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
-              "insert", "pop", "remove", "clear", "sort", "reverse"):
-    setattr(_Merges, _name, _counted(_name))
-
-
-@dataclass
+@dataclass(frozen=True)
 class BpeModel:
-    merges: list[tuple[str, str]] = field(default_factory=list)
-    # (the merges object and its version, `_segmenter`'s two tables), rebuilt
-    # when the merges are replaced or changed
-    _cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    """A merge list fixed at construction, with the tables that segment by it:
+    each pair's ascending ranks (a pair may appear more than once), and the
+    pieces of every token segmented so far."""
+    merges: tuple[tuple[str, str], ...] = ()
+    _ranks: dict = field(init=False, repr=False, compare=False)
+    _pieces: dict = field(init=False, repr=False, compare=False)
 
-    def __setattr__(self, name, value):
-        if name == "merges" and not isinstance(value, _Merges):
-            value = _Merges(value)
-        super().__setattr__(name, value)
+    def __post_init__(self):
+        object.__setattr__(self, "merges", tuple(self.merges))
+        ranks = collections.defaultdict(list)
+        for rank, pair in enumerate(self.merges):
+            ranks[pair].append(rank)
+        object.__setattr__(self, "_ranks", dict(ranks))
+        object.__setattr__(self, "_pieces", {})
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -74,17 +59,6 @@ class BpeModel:
                 raise BpeError(f"{path}:{lineno}: bad merge line {line!r}")
             merges.append((parts[0], parts[1]))
         return cls(merges)
-
-    def _segmenter(self) -> tuple[dict, dict]:
-        """Each pair's ascending ranks in `merges` (a pair may appear more than
-        once), and the pieces of every token segmented so far."""
-        key = (self.merges, self.merges.version)
-        if self._cache is None or self._cache[:2] != key:  # same object: no comparison
-            ranks = collections.defaultdict(list)
-            for rank, pair in enumerate(self.merges):
-                ranks[pair].append(rank)
-            self._cache = key + (dict(ranks), {})
-        return self._cache[2], self._cache[3]
 
 
 def _merge_word(word: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
@@ -170,7 +144,7 @@ def segment_word(model: BpeModel, token: str) -> list[str]:
 
 
 def apply_bpe(model: BpeModel, tokens: list[str]) -> list[str]:
-    ranks, pieces = model._segmenter()
+    ranks, pieces = model._ranks, model._pieces
     out = []
     for token in tokens:
         got = pieces.get(token)

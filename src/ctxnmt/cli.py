@@ -814,7 +814,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, VocabError, ModelError, CheckpointError, AutodiffError,
             trainer.TrainerError, data.DataError, bpe.BpeError,
             evaluation.EvalError, analysis.AnalysisError, synthetic.SyntheticError,
-            OSError) as exc:
+            gradcheck.GradCheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

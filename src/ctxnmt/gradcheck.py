@@ -24,6 +24,10 @@ DEFAULT_THRESHOLD = 1e-4
 DEFAULT_SEEDS = 20
 
 
+class GradCheckError(ValueError):
+    pass
+
+
 def check_attention(seed: int) -> float:
     rng = np.random.default_rng(seed)
     store = ly.ParamStore(rng, np.float64)
@@ -125,7 +129,9 @@ def run_checks(names=None, n_seeds: int = DEFAULT_SEEDS,
     names = list(CHECKS) if names is None else list(names)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        raise ValueError(f"unknown gradient checks: {unknown}; expected {list(CHECKS)}")
+        raise GradCheckError(f"unknown gradient checks: {unknown}; expected {list(CHECKS)}")
+    if n_seeds < 1:
+        raise GradCheckError(f"need at least 1 seed, got {n_seeds}")
     reports = []
     for name in names:
         worst = max(CHECKS[name](seed) for seed in range(n_seeds))

@@ -2,11 +2,13 @@
 token-budget batching, periodic dev evaluation and checkpointing.
 
 A large batch is split into SHARDS fixed row shards whose forward and backward
-passes run at once on two threads when the machine allows it (see
-`shard_workers`); the shard gradients are added in shard order, then clipped,
-then one Adam step is taken. Runs are deterministic for a fixed seed: batch
-order, dropout, and parameter trajectories reproduce bit-identically, whatever
-the number of workers.
+passes run at once when the machine allows it (see `shard_workers`): the last
+shard on the one thread of a `ThreadPoolExecutor`, which starts on the first
+split batch and is joined before `train` returns or raises. The shard
+gradients are added in shard order, then clipped, then one Adam step is
+taken. Runs are deterministic for a fixed seed: batch order, dropout, and
+parameter trajectories reproduce bit-identically, whatever the number of
+workers.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import contextlib
 import math
 import os
 import threading
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,49 +230,6 @@ def shard_workers() -> int:
     return SHARDS if cpus >= 2 and (blas or "").strip() == "1" else 1
 
 
-class _Worker:
-    """One extra thread running the calls handed to it, one at a time; it is
-    joined on leaving the `with` block."""
-
-    def __init__(self):
-        self._call, self._result, self._ran = None, None, False
-        self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._loop, name="ctxnmt-shard", daemon=True)
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            self._todo.acquire()
-            if self._call is None:
-                return
-            try:
-                self._result = (self._call(), None)
-            except BaseException as exc:  # handed to the waiting thread
-                self._result = (None, exc)
-            self._done.release()
-
-    def start(self, call) -> None:
-        self._call, self._ran = call, True
-        self._todo.release()
-
-    def wait(self):
-        """(value, exception) of the call last started."""
-        self._done.acquire()
-        result, self._result = self._result, None
-        return result
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._call = None
-        self._todo.release()
-        self._thread.join()
-        if self._ran:
-            _release_freed_memory()
-        return False
-
-
 def _release_freed_memory() -> None:
     """Return the free pages of every malloc arena to the OS (glibc's
     malloc_trim; elsewhere nothing). glibc gives the worker thread an arena
@@ -305,28 +265,27 @@ def _dropout_rng(seed: np.random.SeedSequence, step_num: int, shard: int):
 
 
 def batch_gradients(model: Transformer, batch: Batch, drop_seed: np.random.SeedSequence,
-                    step_num: int, worker: _Worker | None = None) -> float:
+                    step_num: int, pool: futures.Executor | None = None) -> float:
     """Set .grad of every parameter to the batch's gradient, the shards'
     gradients added in shard order, and return the batch loss (if it is not
-    finite, no .grad is set). With a worker, the last shard runs on its
-    thread while this thread runs the others."""
+    finite, no .grad is set). With a pool, the last shard runs on it while
+    this thread runs the others; the step returns or raises only after that
+    shard has finished, and an exception of an earlier shard comes first."""
     shards = shard_batch(batch)
     counts = [int((tgt[:, 1:] != PAD).sum()) for _, tgt, _ in shards]
     total = sum(counts) or 1  # no target token: cross_entropy raises
     calls = [lambda k=k: _shard_pass(model, *shards[k], counts[k] / total,
                                      _dropout_rng(drop_seed, step_num, k))
              for k in range(len(shards))]
-    if worker is None or len(calls) == 1:
+    if pool is None or len(calls) == 1:
         results = [call() for call in calls]
     else:
-        worker.start(calls[-1])
+        last = pool.submit(calls[-1])
         try:
             results = [call() for call in calls[:-1]]
         finally:
-            last, exc = worker.wait()
-        if exc is not None:
-            raise exc
-        results.append(last)
+            futures.wait([last])
+        results.append(last.result())
     loss = sum(value for value, _ in results)
     if not math.isfinite(loss):
         return loss
@@ -395,39 +354,46 @@ def train(model: Transformer, train_examples: list[Example],
     train_loss = math.nan
     wrote_best = False
 
-    with (_Worker() if shard_workers() > 1 else contextlib.nullcontext()) as worker, \
-            open(metrics_path, "w", encoding="utf-8") as metrics:
-        metrics.write("step\tlr\ttrain_loss\tdev_loss\n")
-        while state.step_num < cfg.max_steps:
-            for batch in make_batches(train_examples, cfg.token_budget, order_rng):
-                loss = batch_gradients(model, batch, drop_seed, state.step_num + 1, worker)
-                if not math.isfinite(loss):
-                    # keep the last periodic checkpoint untouched
-                    kept = last_path if os.path.exists(last_path) else "none written yet"
-                    raise NonFiniteError(
-                        f"loss became non-finite at step {state.step_num + 1}; "
-                        f"last good checkpoint: {kept}")
-                clip_global_norm(model.store.tensors(), cfg.grad_clip)
-                lr = noam_lr(state.step_num + 1, cfg.d_model, cfg.warmup_steps)
-                adam_step(model, state, lr, cfg)
-                train_loss = loss
+    started = threading.Event()  # set when the pool starts its thread, on the first split batch
+    try:
+        with (futures.ThreadPoolExecutor(1, "ctxnmt-shard", initializer=started.set)
+              if shard_workers() > 1 else contextlib.nullcontext()) as pool, \
+                open(metrics_path, "w", encoding="utf-8") as metrics:
+            metrics.write("step\tlr\ttrain_loss\tdev_loss\n")
+            while state.step_num < cfg.max_steps:
+                for batch in make_batches(train_examples, cfg.token_budget, order_rng):
+                    loss = batch_gradients(model, batch, drop_seed, state.step_num + 1, pool)
+                    if not math.isfinite(loss):
+                        # keep the last periodic checkpoint untouched
+                        kept = last_path if os.path.exists(last_path) else "none written yet"
+                        raise NonFiniteError(
+                            f"loss became non-finite at step {state.step_num + 1}; "
+                            f"last good checkpoint: {kept}")
+                    clip_global_norm(model.store.tensors(), cfg.grad_clip)
+                    lr = noam_lr(state.step_num + 1, cfg.d_model, cfg.warmup_steps)
+                    adam_step(model, state, lr, cfg)
+                    train_loss = loss
 
-                dev_loss = ""
-                if state.step_num % cfg.checkpoint_every == 0 or state.step_num == cfg.max_steps:
-                    save_checkpoint(model, last_path)
-                    if dev_batches:
-                        dev = evaluate_loss(model, dev_batches)
-                        dev_loss = f"{dev:.6f}"
-                        if dev < state.best_dev_loss:
-                            state.best_dev_loss = dev
-                            save_checkpoint(model, best_path)
-                            wrote_best = True
-                    if not quiet:
-                        print(f"step {state.step_num}  lr {lr:.3e}  "
-                              f"loss {train_loss:.4f}  dev {dev_loss or '-'}")
-                metrics.write(f"{state.step_num}\t{lr:.8e}\t{train_loss:.6f}\t{dev_loss}\n")
-                if state.step_num >= cfg.max_steps:
-                    break
+                    dev_loss = ""
+                    if (state.step_num % cfg.checkpoint_every == 0
+                            or state.step_num == cfg.max_steps):
+                        save_checkpoint(model, last_path)
+                        if dev_batches:
+                            dev = evaluate_loss(model, dev_batches)
+                            dev_loss = f"{dev:.6f}"
+                            if dev < state.best_dev_loss:
+                                state.best_dev_loss = dev
+                                save_checkpoint(model, best_path)
+                                wrote_best = True
+                        if not quiet:
+                            print(f"step {state.step_num}  lr {lr:.3e}  "
+                                  f"loss {train_loss:.4f}  dev {dev_loss or '-'}")
+                    metrics.write(f"{state.step_num}\t{lr:.8e}\t{train_loss:.6f}\t{dev_loss}\n")
+                    if state.step_num >= cfg.max_steps:
+                        break
+    finally:  # after the pool's `with` has joined its thread
+        if started.is_set():
+            _release_freed_memory()
 
     return TrainResult(
         steps=state.step_num,

@@ -145,6 +145,13 @@ def test_grad_check_empty_checks_is_a_validation_error(capsys):
     assert "--checks" in err
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_grad_check_without_seeds_is_a_validation_error(capsys, seeds):
+    code, out, err = run(capsys, "grad-check", "--checks", "attention", "--seeds", seeds)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "seed" in err
+
+
 def test_grad_check_impossible_threshold_is_numeric_failure(capsys):
     code, out, _ = run(capsys, "grad-check", "--checks", "attention",
                        "--seeds", "1", "--threshold", "1e-18")
@@ -592,6 +599,14 @@ def test_analyze_useful_mass(records_path, capsys):
                        str(records_path))
     assert code == 0
     assert "mean useful mass" in out
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_analyze_top_words_k_below_one_is_a_validation_error(records_path, capsys, k):
+    code, out, err = run(capsys, "analyze", "top-words", "--records", str(records_path),
+                         "--min-count", "1", "--k", k)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "k must be" in err
 
 
 def test_analyze_agreement(env, records_path, capsys):

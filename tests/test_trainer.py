@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -483,3 +484,32 @@ def test_shard_failure_surfaces_and_joins_the_worker(tmp_path, monkeypatch, on_w
         tr.train(model, _wide_dataset(), None, cfg, str(tmp_path))
     assert threading.active_count() == before
     assert sorted(ran_on) == [False, True]
+
+
+def test_first_shard_failure_surfaces_when_both_fail(monkeypatch):
+    def failing(self, *args, **kwargs):
+        on_pool = threading.current_thread() is not threading.main_thread()
+        raise ModelError(f"shard {int(on_pool)} failed")
+
+    monkeypatch.setattr(Transformer, "loss", failing)
+    model = Transformer(_tiny_config(), np.random.default_rng(1))
+    (batch,) = tr.make_batches(_wide_dataset(), 10 ** 6)
+    with futures.ThreadPoolExecutor(1) as pool, pytest.raises(ModelError, match="shard 0"):
+        tr.batch_gradients(model, batch, np.random.SeedSequence(0), 1, pool)
+
+
+@pytest.mark.parametrize("dataset, workers, trims", [
+    (_wide_dataset, 2, 1), (_toy_dataset, 2, 0), (_wide_dataset, 1, 0),
+], ids=["split batches, two workers", "no split batch", "one worker"])
+def test_arena_is_trimmed_once_only_after_the_pool_started(tmp_path, monkeypatch,
+                                                           dataset, workers, trims):
+    """The shard thread starts on the first split batch; only then is its
+    arena trimmed, once, when train returns."""
+    calls = []
+    monkeypatch.setattr(tr, "_release_freed_memory", lambda: calls.append(1))
+    monkeypatch.setattr(tr, "shard_workers", lambda: workers)
+    model = Transformer(_tiny_config(), np.random.default_rng(1))
+    cfg = tr.OptimizerConfig(d_model=32, warmup_steps=10, token_budget=10 ** 6,
+                             max_steps=3, seed=3)
+    tr.train(model, dataset(), None, cfg, str(tmp_path))
+    assert len(calls) == trims
