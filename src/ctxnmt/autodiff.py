@@ -1,5 +1,11 @@
 """Reverse-mode automatic differentiation over dense numpy tensors.
 
+The ops are the ones the model calls, and no more: ``linear`` (x @ w + b),
+multi-head ``attention``, ``add``, ``mul``, ``scale``, ``relu``,
+``sigmoid``, ``softmax``, ``layer_norm``, ``embedding``, ``concat`` (last
+axis), ``dropout``, ``cross_entropy`` and ``reduce_sum`` (a full sum). A
+constant operand may be a plain array.
+
 Ops execute eagerly on numpy arrays. While a Tape is active (``with Tape()
 as tape:``), every op whose inputs require gradients records a backward rule;
 ``tape.backward(loss)`` replays the rules in reverse, freeing each record as
@@ -50,13 +56,12 @@ class TapeError(AutodiffError):
 class Tensor:
     """Dense array with an accumulated gradient of the same shape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
 
     @property
     def shape(self):
@@ -67,10 +72,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -78,21 +79,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
 def _as_tensor(x) -> Tensor:
@@ -123,9 +110,6 @@ class Tape:
 
     def __len__(self):
         return len(self._records)
-
-    def record(self, out: Tensor, backward) -> None:
-        self._records.append((out, backward))
 
     def backward(self, loss: Tensor, fill_grad: bool = True) -> dict[Tensor, np.ndarray]:
         """Return this tape's gradient of every leaf reachable from loss and,
@@ -198,7 +182,7 @@ def _make(out_data, inputs, backward) -> Tensor:
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out = Tensor(out_data, requires_grad=True)
-        tape.record(out, backward)
+        tape._records.append((out, backward))
         return out
     return Tensor(out_data)
 
@@ -206,26 +190,6 @@ def _make(out_data, inputs, backward) -> Tensor:
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
-
-
-def matmul(a, b) -> Tensor:
-    """(..., m, k) @ (..., k, n) -> (..., m, n), batch dims broadcast."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul", a.shape, b.shape)
-    try:
-        out = a.data @ b.data
-    except ValueError:
-        raise ShapeError("matmul", a.shape, b.shape) from None
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape), fresh=True)
-        if b.requires_grad:
-            _accum(b, _weight_grad(a.data, g) if b.ndim == 2
-                   else _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape), fresh=True)
-
-    return _make(out, (a, b), backward)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -333,8 +297,7 @@ def scale(x, k: float) -> Tensor:
     k = float(k)
 
     def backward(g):
-        if x.requires_grad:
-            _accum(x, g * k, fresh=True)
+        _accum(x, g * k, fresh=True)
 
     return _make(x.data * k, (x,), backward)
 
@@ -344,8 +307,7 @@ def relu(x) -> Tensor:
     out = np.maximum(x.data, 0)
 
     def backward(g):
-        if x.requires_grad:
-            _accum(x, g * (x.data > 0), fresh=True)
+        _accum(x, g * (x.data > 0), fresh=True)
 
     return _make(out, (x,), backward)
 
@@ -358,8 +320,7 @@ def sigmoid(x) -> Tensor:
     out = np.where(z >= 0, 1 / d, e / d)
 
     def backward(g):
-        if x.requires_grad:
-            _accum(x, g * out * (1.0 - out), fresh=True)
+        _accum(x, g * out * (1.0 - out), fresh=True)
 
     return _make(out, (x,), backward)
 
@@ -408,22 +369,21 @@ def softmax(x, mask: np.ndarray | None = None) -> Tensor:
     out = _softmax(x.data, mask, "softmax", inplace=False)
 
     def backward(g):
-        if x.requires_grad:
-            gx = g - _row_sum(out, g)
-            gx *= out
-            _accum(x, gx, fresh=True)
+        gx = g - _row_sum(out, g)
+        gx *= out
+        _accum(x, gx, fresh=True)
 
     return _make(out, (x,), backward)
 
 
-def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize over the last axis, then scale by gain and shift by bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError("layer_norm", x.shape, gain.shape, bias.shape)
     inv_d = 1.0 / x.shape[-1]
     xhat = x.data - _row_sum(x.data) * inv_d  # centred, then scaled in place
-    inv = 1.0 / np.sqrt(_row_sum(xhat, xhat) * inv_d + eps)
+    inv = 1.0 / np.sqrt(_row_sum(xhat, xhat) * inv_d + LAYER_NORM_EPS)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
@@ -455,52 +415,46 @@ def embedding(table, ids) -> Tensor:
             f"embedding: id out of range [0, {table.shape[0]}), got min {ids.min()} max {ids.max()}")
     out = table.data[ids]
 
-    def backward(g):
-        if table.requires_grad:  # a segment sum over the ids in stable sorted order
-            flat = ids.reshape(-1).astype(np.intp, copy=False)
-            order = np.argsort(flat, kind="stable")
-            ranked = flat[order]
-            starts = np.flatnonzero(np.diff(ranked, prepend=-1))
-            grad = np.zeros_like(table.data)
-            if starts.size:
-                grad[ranked[starts]] = np.add.reduceat(
-                    g.reshape(-1, g.shape[-1])[order], starts, axis=0)
-            _accum(table, grad, fresh=True)
+    def backward(g):  # a segment sum over the ids in stable sorted order
+        flat = ids.reshape(-1).astype(np.intp, copy=False)
+        order = np.argsort(flat, kind="stable")
+        ranked = flat[order]
+        starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+        grad = np.zeros_like(table.data)
+        if starts.size:
+            grad[ranked[starts]] = np.add.reduceat(
+                g.reshape(-1, g.shape[-1])[order], starts, axis=0)
+        _accum(table, grad, fresh=True)
 
     return _make(out, (table,), backward)
 
 
-def concat(parts, axis: int = -1) -> Tensor:
+def concat(parts) -> Tensor:
+    """Join parts along the last axis."""
     parts = [_as_tensor(p) for p in parts]
     try:
-        out = np.concatenate([p.data for p in parts], axis=axis)
+        out = np.concatenate([p.data for p in parts], axis=-1)
     except ValueError:
         raise ShapeError("concat", *[p.shape for p in parts]) from None
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.shape[-1] for p in parts])
 
     def backward(g):
-        moved = np.moveaxis(g, axis, 0)
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _accum(p, np.moveaxis(moved[lo:hi], 0, axis))
+                _accum(p, g[..., lo:hi])
 
     return _make(out, tuple(parts), backward)
 
 
-def dropout(x, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout; the eval path is the identity (no rescale)."""
-    if not train or rate == 0.0:
-        return _as_tensor(x)
-    if not 0.0 <= rate < 1.0:
-        raise AutodiffError(f"dropout: rate must be in [0, 1), got {rate}")
+def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: each entry is kept with probability 1 - rate (in
+    [0, 1), checked by ModelConfig) and scaled by 1 / (1 - rate)."""
     x = _as_tensor(x)
     keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
     out = x.data * keep
 
     def backward(g):
-        if x.requires_grad:
-            _accum(x, g * keep, fresh=True)
+        _accum(x, g * keep, fresh=True)
 
     return _make(out, (x,), backward)
 
@@ -532,38 +486,28 @@ def cross_entropy(logits, targets, token_mask=None, label_smoothing: float = 0.0
     out = np.asarray((per_pos * m).sum() / n_tokens, dtype=logits.data.dtype)
 
     def backward(g):
-        if logits.requires_grad:
-            p = np.exp(logp)
-            q = np.full_like(p, s / vocab)
-            np.put_along_axis(q, targets[..., None], 1.0 - s + s / vocab, axis=-1)
-            grad = (p - q) * (m / n_tokens)[..., None] * g
-            _accum(logits, grad, fresh=True)
+        p = np.exp(logp)
+        q = np.full_like(p, s / vocab)
+        np.put_along_axis(q, targets[..., None], 1.0 - s + s / vocab, axis=-1)
+        grad = (p - q) * (m / n_tokens)[..., None] * g
+        _accum(logits, grad, fresh=True)
 
     return _make(out, (logits,), backward)
 
 
-def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x) -> Tensor:
+    """The sum of every entry, a scalar."""
     x = _as_tensor(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if x.requires_grad:
-            gg = g
-            if not keepdims and axis is not None:
-                gg = np.expand_dims(gg, axis)
-            _accum(x, np.broadcast_to(gg, x.shape))
+        _accum(x, np.broadcast_to(g, x.shape))
 
-    return _make(out, (x,), backward)
+    return _make(x.data.sum(), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------
-
-
-def clear_grads(params) -> None:
-    for p in params:
-        p.grad = None
 
 
 def finite_difference_check(f, params, step: float = 1e-4,
@@ -574,13 +518,10 @@ def finite_difference_check(f, params, step: float = 1e-4,
     expected for headroom.
     """
     params = list(params)
-    clear_grads(params)
     with Tape() as tape:
         loss = f(params)
-    if loss.data.size != 1:
-        raise TapeError(f"finite_difference_check: f must return a scalar, got {loss.shape}")
-    tape.backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    grads = tape.backward(loss, fill_grad=False)
+    analytic = [grads.get(p, np.zeros_like(p.data)) for p in params]
 
     rng = np.random.default_rng(seed)
     worst = 0.0

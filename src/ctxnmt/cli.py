@@ -369,6 +369,8 @@ def cmd_bleu(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not 0.0 < args.threshold <= 1.0:
+        raise CliError(f"--threshold is a p-value and must be in (0, 1], got {args.threshold}")
     hyp_a = _read_token_lines(args.baseline)
     hyp_b = _read_token_lines(args.candidate)
     refs = _read_token_lines(args.ref)

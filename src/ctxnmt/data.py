@@ -61,6 +61,8 @@ def ingest(lines, max_malformed_fraction: float = 0.10) -> tuple[list[RawPair], 
     """Parse raw records; malformed lines are skipped and counted. Among them
     are lines with bytes that are not UTF-8, and records with a token ending
     in the BPE connector, which detokenizing would glue to the next word."""
+    if not 0.0 <= max_malformed_fraction <= 1.0:
+        raise DataError(f"max_malformed_fraction must be in [0, 1], got {max_malformed_fraction}")
     pairs = []
     skipped = 0
     total = 0

@@ -36,8 +36,8 @@ def check_attention(seed: int) -> float:
     probe = rng.normal(size=(2, 3, 6))
 
     def f(params):
-        out, _ = mha(ad.Tensor(x), ad.Tensor(x))
-        return ad.reduce_sum(ad.mul(out, ad.Tensor(probe)))
+        out, _ = mha(x, x)
+        return ad.reduce_sum(ad.mul(out, probe))
 
     return ad.finite_difference_check(f, store.tensors(), step=1e-5, seed=seed)
 
@@ -50,7 +50,7 @@ def check_feed_forward(seed: int) -> float:
     probe = rng.normal(size=(2, 3, 5))
 
     def f(params):
-        return ad.reduce_sum(ad.mul(ffn(ad.Tensor(x)), ad.Tensor(probe)))
+        return ad.reduce_sum(ad.mul(ffn(x), probe))
 
     return ad.finite_difference_check(f, store.tensors(), step=1e-5, seed=seed)
 
@@ -66,7 +66,7 @@ def check_layer_norm(seed: int) -> float:
     probe = rng.normal(size=(2, 4, 7))
 
     def f(params):
-        return ad.reduce_sum(ad.mul(norm(x), ad.Tensor(probe)))
+        return ad.reduce_sum(ad.mul(norm(x), probe))
 
     return ad.finite_difference_check(f, store.tensors() + [x], step=1e-5, seed=seed)
 
@@ -81,7 +81,7 @@ def check_gated_fusion(seed: int) -> float:
 
     def f(params):
         fused, _ = fusion(a, b)
-        return ad.reduce_sum(ad.mul(fused, ad.Tensor(probe)))
+        return ad.reduce_sum(ad.mul(fused, probe))
 
     return ad.finite_difference_check(f, store.tensors() + [a, b], step=1e-5, seed=seed)
 
@@ -132,6 +132,8 @@ def run_checks(names=None, n_seeds: int = DEFAULT_SEEDS,
         raise GradCheckError(f"unknown gradient checks: {unknown}; expected {list(CHECKS)}")
     if n_seeds < 1:
         raise GradCheckError(f"need at least 1 seed, got {n_seeds}")
+    if not 0.0 < threshold < np.inf:
+        raise GradCheckError(f"threshold must be finite and positive, got {threshold}")
     reports = []
     for name in names:
         worst = max(CHECKS[name](seed) for seed in range(n_seeds))

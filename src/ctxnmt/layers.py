@@ -23,7 +23,7 @@ class ParamStore:
     def _register(self, name: str, data: np.ndarray) -> ad.Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = ad.Tensor(data.astype(self.dtype), requires_grad=True, name=name)
+        t = ad.Tensor(data.astype(self.dtype), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -200,7 +200,7 @@ class GatedFusion:
     def __call__(self, a: ad.Tensor, b: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
         if a.shape != b.shape:
             raise ad.ShapeError("gated_fusion", a.shape, b.shape)
-        g = ad.sigmoid(self.proj(ad.concat([a, b], axis=-1)))
+        g = ad.sigmoid(self.proj(ad.concat([a, b])))
         # 1 in g's dtype: a float64 constant would promote a float32 model
         one_minus_g = ad.add(ad.scale(g, -1.0), np.ones((), g.dtype))
         fused = ad.add(ad.mul(g, a), ad.mul(one_minus_g, b))
@@ -235,7 +235,7 @@ class ContextFusionLayer:
         a, _ = self.self_attn(x, x, self_mask)
         s = self.ln1(ad.add(x, drop(a)))
         if zero_context:
-            b, ctx_weights = ad.Tensor(np.zeros_like(s.data)), None
+            b, ctx_weights = np.zeros_like(s.data), None
         else:
             c, weights = self.ctx_attn(s, ctx_hidden, ctx_mask)
             b, ctx_weights = drop(c), weights.mean(axis=1)

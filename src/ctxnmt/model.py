@@ -160,7 +160,7 @@ class Transformer:
         if rng is None:
             raise ModelError("training forward pass needs a dropout rng")
         rate = self.config.dropout
-        return lambda t: ad.dropout(t, rate, rng, train=True)
+        return lambda t: ad.dropout(t, rate, rng)
 
     def _embed(self, table: ad.Tensor, ids: np.ndarray, flags: np.ndarray | None = None,
                start: int = 0) -> ad.Tensor:
@@ -302,7 +302,7 @@ class Transformer:
             raise ModelError(f"a cache of (rows, positions) {cache.is_pad.shape} cannot "
                              f"precede a prefix of shape {prefix.shape}")
         logits = self._decode_logits(enc, prefix[:, -1:] if cache else prefix, _no_drop, cache)
-        return ad.softmax(ad.Tensor(logits.data[:, -1, :])).data
+        return ad.softmax(logits.data[:, -1, :]).data
 
     def _search(self, enc: EncoderState, width: int, max_out: int) -> list[TranslationResult]:
         """Beam search of every batch row at once; width 1 is greedy decoding.

@@ -73,6 +73,8 @@ class OptimizerConfig:
             raise TrainerError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
         if self.token_budget < 1 or self.max_steps < 1 or self.checkpoint_every < 1:
             raise TrainerError("token_budget, max_steps, checkpoint_every must be positive")
+        if not 0.0 < self.grad_clip < math.inf:
+            raise TrainerError(f"grad_clip must be finite and positive, got {self.grad_clip}")
         return self
 
 

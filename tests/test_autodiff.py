@@ -119,7 +119,7 @@ def test_blocked_weight_gradient_equals_batched_sum(shape):
     w = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     probe = rng.normal(size=shape[:-1] + (5,))
     with ad.Tape() as tape:
-        loss = ad.reduce_sum(ad.mul(ad.matmul(ad.Tensor(a), w), ad.Tensor(probe)))
+        loss = ad.reduce_sum(ad.mul(ad.linear(a, w), probe))
     tape.backward(loss)
     batched = ad._unbroadcast(np.swapaxes(a, -1, -2) @ probe, w.shape)
     np.testing.assert_allclose(w.grad, batched, rtol=0, atol=1e-12)
@@ -149,7 +149,7 @@ def test_concat_backward_splits():
     a = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     b = ad.Tensor(np.ones((2, 3)), requires_grad=True)
     with ad.Tape() as tape:
-        y = ad.reduce_sum(ad.mul(ad.concat([a, b], axis=-1), np.arange(5.0)))
+        y = ad.reduce_sum(ad.mul(ad.concat([a, b]), np.arange(5.0)))
     tape.backward(y)
     np.testing.assert_allclose(a.grad, [[0.0, 1.0], [0.0, 1.0]])
     np.testing.assert_allclose(b.grad, [[2.0, 3.0, 4.0], [2.0, 3.0, 4.0]])
@@ -182,7 +182,7 @@ def test_backward_consumes_tape_and_keeps_only_leaf_grads():
     x = ad.Tensor(np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]]), requires_grad=True)
     w = ad.Tensor(np.array([[0.5, 1.0], [-1.0, 2.0], [0.25, -0.5]]), requires_grad=True)
     with ad.Tape() as tape:
-        h = ad.matmul(x, w)
+        h = ad.linear(x, w)
         z = ad.mul(h, h)
         loss = ad.add(ad.reduce_sum(z), ad.reduce_sum(h))
     n_records = len(tape)
@@ -235,7 +235,7 @@ def test_backward_without_fill_grad_touches_no_grad():
 
     def grads_of(x):
         with ad.Tape() as tape:
-            loss = ad.reduce_sum(ad.mul(ad.relu(ad.matmul(ad.Tensor(x), w)), 0.5))
+            loss = ad.reduce_sum(ad.mul(ad.relu(ad.linear(x, w)), 0.5))
         return tape.backward(loss, fill_grad=False)
 
     alone = [grads_of(x) for x in xs]
@@ -261,10 +261,13 @@ def test_nonscalar_loss_raises():
         tape.backward(y)
 
 
-def test_matmul_shape_mismatch():
+def test_linear_shape_mismatch():
     with pytest.raises(ad.ShapeError) as err:
-        ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
+        ad.linear(np.ones((2, 3)), np.ones((4, 2)))
     assert err.value.shapes == ((2, 3), (4, 2))
+    with pytest.raises(ad.ShapeError) as err:
+        ad.linear(np.ones((2, 3)), np.ones((3, 2)), np.ones(3))
+    assert err.value.shapes == ((2, 3), (3, 2), (3,))
 
 
 def test_fully_masked_softmax_row_raises():
@@ -315,15 +318,29 @@ def test_layer_norm_output_is_standardized(x):
 def test_dropout_train_mean_preserving(seed):
     rng = np.random.default_rng(seed)
     x = ad.Tensor(np.ones((64, 64)))
-    out = ad.dropout(x, 0.3, rng, train=True).data
+    out = ad.dropout(x, 0.3, rng).data
     kept = out[out > 0]
     np.testing.assert_allclose(kept, np.full_like(kept, 1.0 / 0.7))
 
 
 def test_dropout_eval_is_identity():
+    """The model's dropout hands its input back untouched in eval mode and
+    at rate 0, without drawing from (or needing) an rng."""
+    from ctxnmt.model import ModelConfig, Transformer
+
+    def drop_fn(rate, train, rng):
+        config = ModelConfig(n_layers=1, n_heads=1, d_model=4, d_ff=4, src_vocab=8,
+                             tgt_vocab=8, dropout=rate, max_len=8)
+        return Transformer(config, np.random.default_rng(0))._drop_fn(train, rng)
+
     x = ad.Tensor(np.ones((3, 3)))
-    assert ad.dropout(x, 0.5, np.random.default_rng(0), train=False) is x
-    assert ad.dropout(x, 0.0, np.random.default_rng(0), train=True) is x
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert drop_fn(0.5, False, rng)(x) is x
+    assert drop_fn(0.0, True, rng)(x) is x
+    assert drop_fn(0.5, False, None)(x) is x
+    assert rng.bit_generator.state == state
+    assert drop_fn(0.5, True, rng)(x) is not x
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +351,8 @@ def test_dropout_eval_is_identity():
 def _mlp_loss_fn(x_data, targets):
     def f(params):
         w1, b1, w2, b2 = params
-        x = ad.Tensor(x_data)
-        h = ad.relu(ad.add(ad.matmul(x, w1), b1))
-        logits = ad.add(ad.matmul(h, w2), b2)
-        return ad.cross_entropy(logits, targets, label_smoothing=0.1)
+        h = ad.relu(ad.linear(x_data, w1, b1))
+        return ad.cross_entropy(ad.linear(h, w2, b2), targets, label_smoothing=0.1)
     return f
 
 
@@ -354,14 +369,14 @@ def test_mlp_gradients_match_finite_differences():
     assert ad.finite_difference_check(f, params, step=1e-5) < 1e-4
 
 
-def test_softmax_matmul_gradients_match_finite_differences():
+def test_softmax_linear_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     a = ad.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    b = ad.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
     def f(params):
         p, q = params
-        scores = ad.softmax(ad.matmul(p, q))
+        scores = ad.softmax(ad.linear(p, q))
         return ad.reduce_sum(ad.mul(scores, scores))
 
     assert ad.finite_difference_check(f, [a, b], step=1e-5) < 1e-4
@@ -496,9 +511,10 @@ def test_attention_gradients_match_finite_differences(tq, tk, mask_kind):
 
 @pytest.mark.parametrize("tq,tk,mask_kind", _ATTENTION_CASES, ids=_ATTENTION_IDS)
 def test_attention_equals_the_unfused_composition(tq, tk, mask_kind):
-    """The one record against matmul, scale, softmax and matmul over the
-    heads as leaves (B, h, T, d_head), in float64: outputs, probabilities and
-    the gradients of q, k and v within 1e-12."""
+    """The one record against linear, scale, softmax and linear per (row,
+    head), each head's q (Tq, d_head), k^T (d_head, Tk) and v (Tk, d_head) a
+    leaf, in float64: outputs, probabilities and the gradients of q, k and v
+    within 1e-12."""
     q, k, v, mask, probe = _attention_case(tq, tk, mask_kind, seed=1)
 
     def heads(a):
@@ -513,20 +529,30 @@ def test_attention_equals_the_unfused_composition(tq, tk, mask_kind):
         loss = ad.reduce_sum(ad.mul(out, probe))
     tape.backward(loss)
 
-    qh, kt, vh = (ad.Tensor(np.ascontiguousarray(a), requires_grad=True)
+    masks = None if mask is None else np.broadcast_to(mask, p.shape)
+    qh, kt, vh = ([[ad.Tensor(np.ascontiguousarray(a[b, h]), requires_grad=True)
+                    for h in range(3)] for b in range(2)]
                   for a in (heads(q), heads(k).transpose(0, 1, 3, 2), heads(v)))
+    attn, ctx = [[None] * 3 for _ in range(2)], [[None] * 3 for _ in range(2)]
     with ad.Tape() as tape:
-        attn = ad.softmax(ad.scale(ad.matmul(qh, kt), 0.5), mask=mask)
-        ctx = ad.matmul(attn, vh)
-        loss = ad.reduce_sum(ad.mul(ctx, heads(probe)))
+        loss = 0.0
+        for b in range(2):
+            for h in range(3):
+                scores = ad.scale(ad.linear(qh[b][h], kt[b][h]), 0.5)
+                attn[b][h] = ad.softmax(scores, mask=None if masks is None else masks[b, h])
+                ctx[b][h] = ad.linear(attn[b][h], vh[b][h])
+                loss = ad.add(loss, ad.reduce_sum(ad.mul(ctx[b][h], heads(probe)[b, h])))
     tape.backward(loss)
 
+    def stack(rows, key):
+        return np.array([[key(t) for t in row] for row in rows])
+
     tol = dict(rtol=0, atol=1e-12)
-    np.testing.assert_allclose(out.data, merge(ctx.data), **tol)
-    np.testing.assert_allclose(p, attn.data, **tol)
-    np.testing.assert_allclose(fused[0].grad, merge(qh.grad), **tol)
-    np.testing.assert_allclose(fused[1].grad, merge(kt.grad.transpose(0, 1, 3, 2)), **tol)
-    np.testing.assert_allclose(fused[2].grad, merge(vh.grad), **tol)
+    np.testing.assert_allclose(out.data, merge(stack(ctx, lambda t: t.data)), **tol)
+    np.testing.assert_allclose(p, stack(attn, lambda t: t.data), **tol)
+    np.testing.assert_allclose(fused[0].grad, merge(stack(qh, lambda t: t.grad)), **tol)
+    np.testing.assert_allclose(fused[1].grad, merge(stack(kt, lambda t: t.grad.T)), **tol)
+    np.testing.assert_allclose(fused[2].grad, merge(stack(vh, lambda t: t.grad)), **tol)
 
 
 def test_attention_keeps_float32_and_counts_one_record():

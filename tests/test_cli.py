@@ -126,6 +126,19 @@ def test_compare_clear_improvement_exits_0(tmp_path, capsys):
     assert "significant" in out
 
 
+@pytest.mark.parametrize("threshold", ["0", "-0.5", "2", "nan", "inf"])
+def test_compare_threshold_outside_unit_interval_is_a_validation_error(tmp_path, capsys,
+                                                                       threshold):
+    # at 2, a candidate worse than the baseline (p = 1) was declared significant
+    (tmp_path / "r.txt").write_text("a b c d\n" * 20)
+    (tmp_path / "w.txt").write_text("d c b a\n" * 20)
+    code, out, err = run(capsys, "compare", "--baseline", str(tmp_path / "r.txt"),
+                         "--candidate", str(tmp_path / "w.txt"),
+                         "--ref", str(tmp_path / "r.txt"), "--threshold", threshold)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "--threshold" in err
+
+
 # ---------------------------------------------------------------------------
 # grad-check
 # ---------------------------------------------------------------------------
@@ -157,6 +170,15 @@ def test_grad_check_impossible_threshold_is_numeric_failure(capsys):
                        "--seeds", "1", "--threshold", "1e-18")
     assert code == 3
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
+def test_grad_check_threshold_not_finite_and_positive_is_a_validation_error(capsys,
+                                                                             threshold):
+    code, out, err = run(capsys, "grad-check", "--checks", "attention",
+                         "--seeds", "1", "--threshold", threshold)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "threshold" in err
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +368,20 @@ def test_prepare_connector_tokens_over_tolerance_are_a_validation_error(tmp_path
     assert not (tmp_path / "prep").exists()
 
 
+@pytest.mark.parametrize("fraction", ["-0.1", "1.5", "nan"])
+def test_prepare_malformed_fraction_outside_unit_interval_is_a_validation_error(
+        tmp_path, capsys, fraction):
+    # at nan, no count of malformed lines was over the limit
+    raw = tmp_path / "raw.tsv"
+    _raw_corpus(raw, 8, bad_at={2, 5})
+    code, out, err = run(capsys, "prepare", "--input", str(raw),
+                         "--out-dir", str(tmp_path / "prep"), "--bpe-merges", "10",
+                         "--max-malformed-fraction", fraction)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "max_malformed_fraction" in err
+    assert not (tmp_path / "prep").exists()
+
+
 def test_prepare_manifest_times_each_phase(tmp_path, capsys):
     raw = tmp_path / "raw.tsv"
     _raw_corpus(raw, 20, bad_at=set())
@@ -382,6 +418,22 @@ def test_train_rejects_context_mode_without_contexts(env, tmp_path, capsys):
                        "--context-mode", "prev", "--max-steps", "5", "--quiet")
     assert code == 2
     assert "context" in err
+
+
+@pytest.mark.parametrize("clip", ["-1", "0", "nan", "inf"])
+def test_train_grad_clip_not_finite_and_positive_is_a_validation_error(env, tmp_path,
+                                                                        capsys, clip):
+    # at -1, training ran with clipping silently off
+    code, out, err = run(capsys, "train", "--data", str(env["data"] / "test.tsv"),
+                         "--out-dir", str(tmp_path / "x"),
+                         "--src-vocab", str(env["data"] / "src.vocab"),
+                         "--tgt-vocab", str(env["data"] / "tgt.vocab"),
+                         "--context-mode", "none", "--n-layers", "1", "--d-model", "8",
+                         "--d-ff", "16", "--n-heads", "2", "--max-steps", "1", "--quiet",
+                         "--grad-clip", clip)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "grad_clip" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_without_dev_has_no_best_dev_loss(env, tmp_path, capsys):

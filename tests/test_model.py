@@ -47,11 +47,17 @@ def test_config_dict_round_trip():
 
 
 def test_encode_deterministic_in_eval_mode():
+    """Dropout is the identity in eval mode and at rate 0: neither needs an
+    rng, and repeated passes agree bit for bit."""
     model = small_model()
     src = np.array([[6, 7, 8, 9], [10, 11, PAD, PAD]])
+    tgt = np.array([[TBOS, 6, 7, TEOS], [TBOS, 8, TEOS, PAD]])
     a = model.encode(src).hidden.data
     b = model.encode(src).hidden.data
     np.testing.assert_array_equal(a, b)
+    assert model.loss(src, tgt).data.tobytes() == model.loss(src, tgt).data.tobytes()
+    still = small_model(dropout=0.0)
+    assert still.loss(src, tgt, train=True).data.tobytes() == still.loss(src, tgt).data.tobytes()
 
 
 def test_encoder_padding_invariance():
