@@ -510,7 +510,7 @@ def reduce_sum(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def finite_difference_check(f, params, step: float = 1e-4,
+def finite_difference_check(f, params, step: float = 1e-5,
                             max_coords_per_tensor: int = 200, seed: int = 0) -> float:
     """Max relative error between tape gradients of f(params) and central
     finite differences, sampling up to `max_coords_per_tensor` coordinates

@@ -503,9 +503,8 @@ def cmd_analyze_curves(args) -> int:
         ref = _read_token_lines(args.bleu_ref)
         if len(hyp) != len(ref):
             raise CliError(f"{args.bleu_hyp} and {args.bleu_ref} differ in length")
-        bleu_per_sentence = [
-            evaluation.bleu_from_stats(evaluation.sentence_stats(h, r)).bleu
-            for h, r in zip(hyp, ref)]
+        bleu_per_sentence = evaluation._bleu_rows(
+            evaluation._corpus_stats(hyp, ref))[0].tolist()
     series = analysis.curves(records, bleu_per_sentence, args.cohort_length)
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -19,6 +19,9 @@ import numpy as np
 from .vocab import numbered_lines
 
 MAX_ORDER = 4
+# Resampled sentence indices drawn per bootstrap block (rows x n cells), so
+# that the block's temporaries stay a few MB whatever the sample count.
+BOOTSTRAP_BLOCK_CELLS = 1 << 18
 
 
 class EvalError(ValueError):
@@ -34,21 +37,32 @@ class BleuReport:
     ref_len: int
 
 
-def _ngrams(tokens: list[str], n: int) -> collections.Counter:
-    return collections.Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: list[str]) -> collections.Counter:
+    """Every n-gram of orders 1..MAX_ORDER, as a token tuple, with its count."""
+    grams = []
+    for n in range(1, MAX_ORDER + 1):
+        grams += zip(*(tokens[i:] for i in range(n)))
+    return collections.Counter(grams)
+
+
+def _corpus_stats(hypotheses: list[list[str]], references: list[list[str]]) -> np.ndarray:
+    """Sufficient statistics of each sentence pair, (n, 10) int64 rows of
+    [matches 1..4, totals 1..4, hyp_len, ref_len]; one n-gram pass per side,
+    matches clipped by the reference count and summed by n-gram length."""
+    rows = []
+    for hyp, ref in zip(hypotheses, references):
+        ref_counts = _ngram_counts(ref)
+        matches = [0] * MAX_ORDER
+        for gram, count in _ngram_counts(hyp).items():
+            matches[len(gram) - 1] += min(count, ref_counts.get(gram, 0))
+        rows.append(matches + [max(len(hyp) - n + 1, 0) for n in range(1, MAX_ORDER + 1)]
+                    + [len(hyp), len(ref)])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 2 * MAX_ORDER + 2)
 
 
 def sentence_stats(hyp: list[str], ref: list[str]) -> np.ndarray:
     """Sufficient statistics [matches 1..4, totals 1..4, hyp_len, ref_len]."""
-    stats = np.zeros(2 * MAX_ORDER + 2, dtype=np.int64)
-    for n in range(1, MAX_ORDER + 1):
-        hyp_counts = _ngrams(hyp, n)
-        ref_counts = _ngrams(ref, n)
-        stats[n - 1] = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        stats[MAX_ORDER + n - 1] = max(len(hyp) - n + 1, 0)
-    stats[-2] = len(hyp)
-    stats[-1] = len(ref)
-    return stats
+    return _corpus_stats([hyp], [ref])[0]
 
 
 def _bleu_rows(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -69,23 +83,16 @@ def _bleu_rows(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.where(valid, score, 0.0), prec, bp
 
 
-def bleu_from_stats(stats: np.ndarray) -> BleuReport:
-    """Corpus BLEU-4 of one vector of summed statistics (see `_bleu_rows`)."""
-    bleu, prec, bp = _bleu_rows(stats[None, :])
-    return BleuReport(float(bleu[0]), tuple(float(p) for p in prec[0]), float(bp[0]),
-                      int(stats[-2]), int(stats[-1]))
-
-
 def corpus_bleu(hypotheses: list[list[str]], references: list[list[str]]) -> BleuReport:
     if len(hypotheses) != len(references):
         raise EvalError(
             f"{len(hypotheses)} hypotheses vs {len(references)} references")
     if not hypotheses:
         raise EvalError("empty evaluation set")
-    total = np.zeros(2 * MAX_ORDER + 2, dtype=np.int64)
-    for hyp, ref in zip(hypotheses, references):
-        total += sentence_stats(hyp, ref)
-    return bleu_from_stats(total)
+    total = _corpus_stats(hypotheses, references).sum(axis=0)
+    bleu, prec, bp = _bleu_rows(total[None, :])
+    return BleuReport(float(bleu[0]), tuple(float(p) for p in prec[0]), float(bp[0]),
+                      int(total[-2]), int(total[-1]))
 
 
 def bootstrap_significance(hyp_a: list[list[str]], hyp_b: list[list[str]],
@@ -95,19 +102,32 @@ def bootstrap_significance(hyp_a: list[list[str]], hyp_b: list[list[str]],
 
     Resamples sentence indices with replacement; p is the fraction of
     resamples where BLEU(b) <= BLEU(a), so small p means b is reliably ahead.
+    The indices are drawn from one generator in blocks of about
+    BOOTSTRAP_BLOCK_CELLS, the same integers as one (samples, n) draw; each
+    block becomes a count matrix (how often each sentence was drawn) whose
+    product with the statistics gives the resampled sums, exact in float64.
     """
     if not len(hyp_a) == len(hyp_b) == len(references):
         raise EvalError("bootstrap needs aligned hypothesis/reference lists")
+    if not references:
+        raise EvalError("empty evaluation set")
     if samples < 1:
         raise EvalError(f"samples must be >= 1, got {samples}")
-    stats_a = np.stack([sentence_stats(h, r) for h, r in zip(hyp_a, references)])
-    stats_b = np.stack([sentence_stats(h, r) for h, r in zip(hyp_b, references)])
-    n = len(references)
+    stats = np.concatenate([_corpus_stats(hyp_a, references),
+                            _corpus_stats(hyp_b, references)], axis=1).astype(np.float64)
+    n, width = len(references), 2 * MAX_ORDER + 2
+    block = max(1, BOOTSTRAP_BLOCK_CELLS // n)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(samples, n))
-    bleu_a = _bleu_rows(stats_a[idx].sum(axis=1))[0]
-    bleu_b = _bleu_rows(stats_b[idx].sum(axis=1))[0]
-    return float(np.mean(bleu_b <= bleu_a))
+    hits = 0
+    for start in range(0, samples, block):
+        rows = min(block, samples - start)
+        idx = rng.integers(0, n, size=(rows, n))
+        idx += np.arange(0, rows * n, n)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
+        sums = counts @ stats
+        hits += int(np.count_nonzero(
+            _bleu_rows(sums[:, width:])[0] <= _bleu_rows(sums[:, :width])[0]))
+    return hits / samples
 
 
 def pronoun_form_accuracy(hypotheses: list[list[str]], references: list[list[str]]) -> float:

@@ -39,7 +39,7 @@ def check_attention(seed: int) -> float:
         out, _ = mha(x, x)
         return ad.reduce_sum(ad.mul(out, probe))
 
-    return ad.finite_difference_check(f, store.tensors(), step=1e-5, seed=seed)
+    return ad.finite_difference_check(f, store.tensors(), seed=seed)
 
 
 def check_feed_forward(seed: int) -> float:
@@ -52,7 +52,7 @@ def check_feed_forward(seed: int) -> float:
     def f(params):
         return ad.reduce_sum(ad.mul(ffn(x), probe))
 
-    return ad.finite_difference_check(f, store.tensors(), step=1e-5, seed=seed)
+    return ad.finite_difference_check(f, store.tensors(), seed=seed)
 
 
 def check_layer_norm(seed: int) -> float:
@@ -68,7 +68,7 @@ def check_layer_norm(seed: int) -> float:
     def f(params):
         return ad.reduce_sum(ad.mul(norm(x), probe))
 
-    return ad.finite_difference_check(f, store.tensors() + [x], step=1e-5, seed=seed)
+    return ad.finite_difference_check(f, store.tensors() + [x], seed=seed)
 
 
 def check_gated_fusion(seed: int) -> float:
@@ -83,7 +83,7 @@ def check_gated_fusion(seed: int) -> float:
         fused, _ = fusion(a, b)
         return ad.reduce_sum(ad.mul(fused, probe))
 
-    return ad.finite_difference_check(f, store.tensors() + [a, b], step=1e-5, seed=seed)
+    return ad.finite_difference_check(f, store.tensors() + [a, b], seed=seed)
 
 
 def check_full_model(seed: int, max_coords_per_tensor: int = 12) -> float:
@@ -100,7 +100,7 @@ def check_full_model(seed: int, max_coords_per_tensor: int = 12) -> float:
     def f(params):
         return model.loss(src, tgt, ctx_ids=ctx, train=False)
 
-    return ad.finite_difference_check(f, model.store.tensors(), step=1e-5,
+    return ad.finite_difference_check(f, model.store.tensors(),
                                       max_coords_per_tensor=max_coords_per_tensor,
                                       seed=seed)
 

@@ -366,7 +366,7 @@ def test_mlp_gradients_match_finite_differences():
         ad.Tensor(rng.normal(0, 0.5, size=(5,)), requires_grad=True),
     ]
     f = _mlp_loss_fn(rng.normal(size=(4, 6)), rng.integers(0, 5, size=4))
-    assert ad.finite_difference_check(f, params, step=1e-5) < 1e-4
+    assert ad.finite_difference_check(f, params) < 1e-4
 
 
 def test_softmax_linear_gradients_match_finite_differences():
@@ -379,7 +379,7 @@ def test_softmax_linear_gradients_match_finite_differences():
         scores = ad.softmax(ad.linear(p, q))
         return ad.reduce_sum(ad.mul(scores, scores))
 
-    assert ad.finite_difference_check(f, [a, b], step=1e-5) < 1e-4
+    assert ad.finite_difference_check(f, [a, b]) < 1e-4
 
 
 def test_layer_norm_gradients_match_finite_differences():
@@ -393,7 +393,7 @@ def test_layer_norm_gradients_match_finite_differences():
         out = ad.layer_norm(xx, g, b)
         return ad.reduce_sum(ad.mul(out, out))
 
-    assert ad.finite_difference_check(f, [x, gain, bias], step=1e-5) < 1e-4
+    assert ad.finite_difference_check(f, [x, gain, bias]) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +467,7 @@ def test_linear_gradients_match_finite_differences(shape, bias):
     def f(params):
         return ad.reduce_sum(ad.mul(ad.linear(*params), probe))
 
-    assert ad.finite_difference_check(f, [x, w] + ([b] if bias else []), step=1e-5) < 1e-4
+    assert ad.finite_difference_check(f, [x, w] + ([b] if bias else [])) < 1e-4
 
 
 def test_linear_counts_one_record():
@@ -506,7 +506,7 @@ def test_attention_gradients_match_finite_differences(tq, tk, mask_kind):
         out, _ = ad.attention(*ps, 3, 0.5, mask)
         return ad.reduce_sum(ad.mul(out, probe))
 
-    assert ad.finite_difference_check(f, params, step=1e-5) < 1e-4
+    assert ad.finite_difference_check(f, params) < 1e-4
 
 
 @pytest.mark.parametrize("tq,tk,mask_kind", _ATTENTION_CASES, ids=_ATTENTION_IDS)

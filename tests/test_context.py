@@ -146,8 +146,7 @@ def test_gated_model_full_gradient_check():
     def f(params):
         return model64.loss(SRC, tgt, ctx_ids=CTX)
 
-    err = ad.finite_difference_check(f, model64.store.tensors(), step=1e-5,
-                                     max_coords_per_tensor=20)
+    err = ad.finite_difference_check(f, model64.store.tensors(), max_coords_per_tensor=20)
     assert err < 1e-4
 
 

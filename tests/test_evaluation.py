@@ -1,3 +1,6 @@
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -83,18 +86,43 @@ def test_bleu_bounds(hyps):
     assert report.brevity_penalty <= 1.0
 
 
-@given(st.lists(st.tuples(st.lists(st.sampled_from("abcd"), max_size=7),
-                          st.lists(st.sampled_from("abcd"), max_size=7)),
-                min_size=1, max_size=6))
-def test_corpus_bleu_is_the_bootstrap_formula(pairs):
-    # the reported score and every bootstrap resample come from one formula
-    hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
-    total = sum(ev.sentence_stats(h, r) for h, r in pairs)
-    bleu, precisions, bp = ev._bleu_rows(total[None, :])
-    report = ev.corpus_bleu(hyps, refs)
+def _per_order_stats(hyp, ref):
+    # the statistics counted one n-gram order at a time, as a reference
+    stats = [0] * (2 * ev.MAX_ORDER + 2)
+    for n in range(1, ev.MAX_ORDER + 1):
+        hyp_counts = collections.Counter(tuple(hyp[i:i + n]) for i in range(len(hyp) - n + 1))
+        ref_counts = collections.Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
+        stats[n - 1] = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        stats[ev.MAX_ORDER + n - 1] = max(len(hyp) - n + 1, 0)
+    stats[-2:] = [len(hyp), len(ref)]
+    return stats
+
+
+sentences = st.lists(st.sampled_from("abcd"), max_size=7)
+
+
+@given(st.lists(st.tuples(sentences, sentences, sentences), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 20))
+def test_corpus_bleu_is_the_bootstrap_formula(triples, seed, samples, block_cells):
+    # the reported score and every bootstrap resample come from one formula;
+    # the blocked resampling equals one (samples, n) gather of the statistics
+    hyps_a, hyps_b, refs = (list(side) for side in zip(*triples))
+    stats_a = np.array([_per_order_stats(h, r) for h, r in zip(hyps_a, refs)])
+    stats_b = np.array([_per_order_stats(h, r) for h, r in zip(hyps_b, refs)])
+    bleu, precisions, bp = ev._bleu_rows(stats_a.sum(axis=0)[None, :])
+    report = ev.corpus_bleu(hyps_a, refs)
     assert report.bleu == bleu[0]
     assert report.precisions == tuple(precisions[0])
     assert report.brevity_penalty == bp[0]
+    assert (report.hyp_len, report.ref_len) == tuple(stats_a.sum(axis=0)[-2:])
+
+    idx = np.random.default_rng(seed).integers(0, len(refs), (samples, len(refs)))
+    expected = float(np.mean(ev._bleu_rows(stats_b[idx].sum(axis=1))[0]
+                             <= ev._bleu_rows(stats_a[idx].sum(axis=1))[0]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "BOOTSTRAP_BLOCK_CELLS", block_cells)
+        p = ev.bootstrap_significance(hyps_a, hyps_b, refs, samples=samples, seed=seed)
+    assert p == expected
 
 
 def test_empty_hypothesis_sentence_scores_zero():
@@ -173,6 +201,26 @@ def test_bootstrap_misaligned_lists_rejected():
         ev.bootstrap_significance(refs[:3], refs, refs, samples=10)
     with pytest.raises(ev.EvalError):
         ev.bootstrap_significance(refs, refs, refs, samples=0)
+
+
+def test_bootstrap_empty_set_rejected():
+    with pytest.raises(ev.EvalError, match="empty evaluation set"):
+        ev.bootstrap_significance([], [], [])
+
+
+@pytest.mark.parametrize("n, samples", [(48, 50_000), (2_000, 2_000)])
+def test_bootstrap_memory_does_not_grow_with_samples(n, samples):
+    # one (samples, n, 10) gather of the statistics would take 192 MB and
+    # 320 MB here; the blocked count matrices stay a few MB
+    refs = _toy_corpus(n=n)
+    rotated = [s[1:] + s[:1] for s in refs]
+    tracemalloc.start()
+    try:
+        ev.bootstrap_significance(rotated, refs, refs, samples=samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
